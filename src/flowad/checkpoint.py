@@ -30,6 +30,7 @@ from .model import (
 
 MAGIC = b"FLOWCKPT"
 FORMAT_VERSION = 1
+_HEADER_KEYS = ("format_version", "model_config", "norm_stats", "arrays", "payload_sha256")
 
 
 @dataclass
@@ -107,27 +108,41 @@ def load_checkpoint(path) -> Checkpoint:
     if raw[:8] != MAGIC:
         raise InputError(f"not a checkpoint file: {path}")
     hlen = int.from_bytes(raw[8:12], "little")
-    header = json.loads(raw[12 : 12 + hlen].decode())
-    if header.get("format_version") != FORMAT_VERSION:
+    if len(raw) < 12 + hlen:
+        raise InputError(f"checkpoint header is truncated: {path}")
+    try:
+        header = json.loads(raw[12 : 12 + hlen].decode())
+    except ValueError as e:  # undecodable bytes or malformed JSON
+        raise InputError(f"checkpoint header is not valid JSON: {e}") from None
+    if not isinstance(header, dict):
+        raise InputError("checkpoint header must be a JSON object")
+    missing = [k for k in _HEADER_KEYS if k not in header]
+    if missing:
+        raise InputError(f"checkpoint header lacks {', '.join(missing)}")
+    if header["format_version"] != FORMAT_VERSION:
         raise InputError(
-            f"unsupported checkpoint format version {header.get('format_version')}"
+            f"unsupported checkpoint format version {header['format_version']}"
         )
     payload = raw[12 + hlen :]
     if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
         raise InputError("checkpoint payload digest mismatch; file is corrupted")
 
-    config = ModelConfig.from_dict(header["model_config"])
-    gen = GeneratorParams()
-    disc = DiscriminatorParams()
-    offset = 0
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
-        arr = np.frombuffer(payload[offset : offset + nbytes], dtype="<f8").reshape(shape)
-        offset += nbytes
-        target = gen.arrays if entry["group"] == "generator" else disc.arrays
-        target[entry["name"]] = np.array(arr)  # own, writable copy
+    try:
+        config = ModelConfig.from_dict(header["model_config"])
+        norm_stats = NormStats.from_dict(header["norm_stats"])
+        gen = GeneratorParams()
+        disc = DiscriminatorParams()
+        offset = 0
+        for entry in header["arrays"]:
+            shape = tuple(entry["shape"])
+            count = int(np.prod(shape)) if shape else 1
+            nbytes = count * 8
+            arr = np.frombuffer(payload[offset : offset + nbytes], dtype="<f8").reshape(shape)
+            offset += nbytes
+            target = gen.arrays if entry["group"] == "generator" else disc.arrays
+            target[entry["name"]] = np.array(arr)  # own, writable copy
+    except (KeyError, TypeError, ValueError) as e:
+        raise InputError(f"checkpoint header is malformed: {e!r}") from None
     if offset != len(payload):
         raise InputError("checkpoint payload size does not match its manifest")
 
@@ -135,7 +150,7 @@ def load_checkpoint(path) -> Checkpoint:
         config=config,
         generator=gen,
         discriminator=disc,
-        norm_stats=NormStats.from_dict(header["norm_stats"]),
+        norm_stats=norm_stats,
         calibration=header.get("calibration"),
         meta=header.get("meta") or {},
     )

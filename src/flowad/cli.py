@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import traceback
@@ -25,9 +26,9 @@ from .data import (
     WindowingConfig,
     downsample,
     load_records,
+    record_windows,
     save_records,
-    sliding_windows,
-    window_count,
+    sliding_windows,  # noqa: F401 - perfbench/launcher.py traces it here
 )
 from .detection import (
     CalibrationStats,
@@ -37,7 +38,14 @@ from .detection import (
     threshold_for_fpr,
 )
 from .errors import FlowadError, InputError
-from .evaluation import ablation_variants, bench_latency, evaluate, roc_curve
+from .evaluation import (
+    ablation_variants,
+    bench_latency,
+    evaluate,  # noqa: F401 - perfbench/launcher.py traces it here
+    roc_curve,
+    score_records,
+    summarize,
+)
 from .fastpath import ScoringRuntime
 from .model import ModelConfig
 from .synth import SynthConfig, synth_generate
@@ -235,25 +243,27 @@ def cmd_calibrate(args) -> int:
     windowing = WindowingConfig(
         window_len=ckpt.config.window_len, stride=_stride_for(cfg, ckpt)
     )
-    windows = []
     for r in records:
         if r.n_signals != ckpt.config.n_signals:
             raise InputError(
                 f"record '{r.sample_id}' has {r.n_signals} signals, checkpoint "
                 f"expects {ckpt.config.n_signals}"
             )
-        if window_count(r.n_frames, windowing) == 0:
-            print(
-                f"warning: record '{r.sample_id}' is shorter than one window; skipped",
-                file=sys.stderr,
-            )
-            continue
-        windows.extend(sliding_windows(r, windowing))
+
+    def warn_short(r):
+        print(
+            f"warning: record '{r.sample_id}' is shorter than one window; skipped",
+            file=sys.stderr,
+        )
+
     if ckpt.calibration is not None:
         print("warning: checkpoint is already calibrated; overwriting", file=sys.stderr)
     runtime = ScoringRuntime.from_checkpoint(ckpt)
     stats = calibrate(
-        runtime, windows, eps_mode=detect_sec["eps_mode"], eps_seed=detect_sec["eps_seed"]
+        runtime,
+        (w for _, ws in record_windows(records, windowing, warn_short) for w in ws),
+        eps_mode=detect_sec["eps_mode"],
+        eps_seed=detect_sec["eps_seed"],
     )
     meta = dict(ckpt.meta or {})
     meta["calibration_config"] = {
@@ -297,10 +307,12 @@ def cmd_eval(args) -> int:
         window_len=ckpt.config.window_len, stride=_stride_for(cfg, ckpt)
     )
     runtime = ScoringRuntime.from_checkpoint(ckpt)
-    report = evaluate(
+    # One scoring pass serves both the report and the ROC points.
+    scored, skipped = score_records(
         records, runtime, calib, windowing, eps_mode=calib.eps_mode,
         eps_seed=_detect_section(cfg, args)["eps_seed"],
     )
+    report = summarize(scored, skipped)
     report["resolved_config"] = {
         "command": "eval",
         "checkpoint": str(args.checkpoint),
@@ -310,9 +322,6 @@ def cmd_eval(args) -> int:
         "windowing": {"window_len": windowing.window_len, "stride": windowing.stride},
     }
     if args.roc_out:
-        from .evaluation import score_records
-
-        scored, _ = score_records(records, runtime, calib, windowing, calib.eps_mode)
         scores = np.array([r.record_score for r in scored])
         labels = np.array([r.label != LABEL_NORMAL for r in scored])
         points = roc_curve(scores, labels)
@@ -341,6 +350,8 @@ def _frame_lines(source):
             raise InputError(
                 f"stream line {line_no}: expected `frame_idx,sig_0,...`, got {line!r}"
             ) from None
+        if not all(map(math.isfinite, values)):
+            raise InputError(f"stream line {line_no}: non-finite value in {line!r}")
         yield np.array(values, dtype=np.float64)
 
 

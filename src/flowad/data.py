@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -120,6 +122,21 @@ def sliding_windows(record: Record, cfg: WindowingConfig) -> list[Window]:
         start = i * cfg.stride
         out.append(Window(start=start, values=record.frames[start : start + cfg.window_len].copy()))
     return out
+
+
+def record_windows(
+    records, cfg: WindowingConfig, on_short: Callable[[Record], None] | None = None
+) -> Iterator[tuple[Record, np.ndarray]]:
+    """Yield each record with its full windows, oldest first, as a
+    read-only (W, T_W, N) view of its frames (no copy). A record shorter
+    than one window goes to on_short, when given, and is skipped."""
+    for r in records:
+        if r.n_frames < cfg.window_len:
+            if on_short is not None:
+                on_short(r)
+            continue
+        view = np.lib.stride_tricks.sliding_window_view(r.frames, cfg.window_len, axis=0)
+        yield r, view[:: cfg.stride].transpose(0, 2, 1)
 
 
 def fit_normalization(records: list[Record], floor: float = 1e-8) -> NormStats:
@@ -236,7 +253,7 @@ def _parse_float(cell: str, row_no: int, col: str) -> float:
         v = float(cell)
     except ValueError:
         raise DatasetError(f"row {row_no}: column '{col}' is not numeric: {cell!r}") from None
-    if not np.isfinite(v):
+    if not math.isfinite(v):
         raise DatasetError(f"row {row_no}: column '{col}' is not finite: {cell!r}")
     return v
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -25,6 +26,9 @@ from .fastpath import ScoringRuntime
 log = logging.getLogger(__name__)
 
 SIGMA_FLOOR = 1e-8
+# Windows per kernel call when every window is known in advance
+# (calibration, evaluation); the stream scores one at a time.
+BLOCK_WINDOWS = 32
 
 
 @dataclass
@@ -106,12 +110,30 @@ def _window_values(w) -> np.ndarray:
 
 
 def _eps_stream(runtime: ScoringRuntime, eps_mode: str, eps_seed: int):
-    """Per-window epsilon drawer matching the configured mode."""
+    """Epsilon drawer matching the configured mode: draw() gives one
+    window's (D,) noise, draw(B) a block's (B, D), the same numbers B
+    single draws would give."""
     if eps_mode == "zero":
-        return lambda: None
+        return lambda *block: None
     rng = np.random.default_rng(eps_seed)
     d = runtime.config.latent_size
-    return lambda: rng.standard_normal(d)
+    return lambda *block: rng.standard_normal((*block, d))
+
+
+def score_windows(
+    runtime: ScoringRuntime, windows, eps_mode: str = "zero", eps_seed: int = 0
+) -> np.ndarray:
+    """L1 errors of raw windows, in order, BLOCK_WINDOWS per kernel call.
+
+    Epsilon is drawn per window in window order, and a block's rows equal
+    one-at-a-time scoring bit for bit, so the blocking changes no result.
+    """
+    draw = _eps_stream(runtime, eps_mode, eps_seed)
+    it = iter(windows)
+    errors = []
+    while block := [_window_values(w) for w in islice(it, BLOCK_WINDOWS)]:
+        errors.append(runtime.l1_errors(np.stack(block), draw(len(block))))
+    return np.concatenate(errors) if errors else np.empty(0)
 
 
 def calibrate(
@@ -124,15 +146,12 @@ def calibrate(
     """Population mean/std of L1 errors over raw normal windows.
 
     By convention the source set is the training windows themselves; a
-    held-out normal split works identically.
+    held-out normal split works identically. Windows may come from any
+    iterable, a generator included; they are scored in blocks.
     """
-    windows = list(windows)
-    if len(windows) < 2:
-        raise InputError(f"calibration needs >= 2 windows, got {len(windows)}")
-    draw = _eps_stream(runtime, eps_mode, eps_seed)
-    errors = np.array(
-        [runtime.l1_error(_window_values(w), draw()) for w in windows], dtype=np.float64
-    )
+    errors = score_windows(runtime, windows, eps_mode, eps_seed)
+    if len(errors) < 2:
+        raise InputError(f"calibration needs >= 2 windows, got {len(errors)}")
     mu = float(errors.mean())
     sigma = max(float(errors.std()), sigma_floor)  # population std
     scores = np.sort((errors - mu) / sigma)
@@ -140,7 +159,7 @@ def calibrate(
         mu=mu,
         sigma=sigma,
         eps_mode=eps_mode,
-        n_windows=len(windows),
+        n_windows=len(errors),
         scores_sorted=scores,
     )
 
@@ -213,6 +232,8 @@ class StreamDetector:
             raise StreamError(
                 f"frame {self._count} has shape {frame.shape}, expected ({n},)"
             )
+        if not np.isfinite(frame).all():
+            raise StreamError(f"frame {self._count} has a non-finite value: {frame}")
         T_W = self.cfg.windowing.window_len
         T_S = self.cfg.windowing.stride
         self._ring[self._count % T_W] = frame

@@ -16,8 +16,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import LABEL_NORMAL, Record, WindowingConfig, sliding_windows, window_count
-from .detection import CalibrationStats, calibrate, score_from_l1
+from .data import (
+    LABEL_NORMAL,
+    Record,
+    WindowingConfig,
+    record_windows,
+    sliding_windows,  # noqa: F401 - perfbench/launcher.py traces it here
+)
+from .detection import CalibrationStats, calibrate, score_from_l1, score_windows
 from .errors import InputError
 from .fastpath import ScoringRuntime
 from .model import ModelConfig
@@ -74,14 +80,6 @@ class LatencyReport:
         }
 
 
-def _eps_drawer(runtime: ScoringRuntime, eps_mode: str, eps_seed: int):
-    if eps_mode == "zero":
-        return lambda: None
-    rng = np.random.default_rng(eps_seed)
-    d = runtime.config.latent_size
-    return lambda: rng.standard_normal(d)
-
-
 def score_records(
     records: list[Record],
     runtime: ScoringRuntime,
@@ -93,26 +91,27 @@ def score_records(
     """Score every record; record_score is the max over its windows.
 
     Records too short for one window are skipped with a warning and
-    counted in the returned skip total.
+    counted in the returned skip total. Windows are scored in blocks
+    that may span records.
     """
     if calib is None:
         raise InputError("scoring requires calibration stats")
-    draw = _eps_drawer(runtime, eps_mode, eps_seed)
-    scored: list[ScoredRecord] = []
-    skipped = 0
-    for r in records:
-        if window_count(r.n_frames, windowing) == 0:
-            log.warning(
-                "record '%s' has %d frames, shorter than one window; skipped",
-                r.sample_id,
-                r.n_frames,
-            )
-            skipped += 1
-            continue
-        windows = sliding_windows(r, windowing)
-        scores = np.array(
-            [score_from_l1(runtime.l1_error(w.values, draw()), calib) for w in windows]
+
+    def warn(r: Record):
+        log.warning(
+            "record '%s' has %d frames, shorter than one window; skipped",
+            r.sample_id,
+            r.n_frames,
         )
+
+    kept = list(record_windows(records, windowing, warn))
+    errors = score_windows(
+        runtime, (w for _, ws in kept for w in ws), eps_mode, eps_seed
+    )
+    per_record = np.split(errors, np.cumsum([len(ws) for _, ws in kept])[:-1])
+    scored: list[ScoredRecord] = []
+    for (r, _), errs in zip(kept, per_record):
+        scores = score_from_l1(errs, calib)
         scored.append(
             ScoredRecord(
                 sample_id=r.sample_id,
@@ -122,7 +121,7 @@ def score_records(
                 record_score=float(scores.max()),
             )
         )
-    return scored, skipped
+    return scored, len(records) - len(kept)
 
 
 def _check_two_classes(labels: np.ndarray):
@@ -270,9 +269,13 @@ def evaluate(
     eps_seed: int = 0,
 ) -> dict:
     """Full evaluation report as a JSON-ready dict."""
-    scored, skipped = score_records(
-        test_records, runtime, calib, windowing, eps_mode, eps_seed
+    return summarize(
+        *score_records(test_records, runtime, calib, windowing, eps_mode, eps_seed)
     )
+
+
+def summarize(scored: list[ScoredRecord], skipped: int) -> dict:
+    """The evaluation report of already scored records."""
     report = per_type_auroc(scored)
     return {
         "per_type": report.per_type,
@@ -322,12 +325,9 @@ def train_and_evaluate(
     """Train, calibrate on the training windows, evaluate on test."""
     result = train(train_records, model_cfg, train_cfg, windowing)
     runtime = ScoringRuntime(model_cfg, result.generator.arrays, result.norm_stats)
-    cal_windows = []
-    for r in train_records:
-        if window_count(r.n_frames, windowing) == 0:
-            continue
-        cal_windows.extend(sliding_windows(r, windowing))
-    calib = calibrate(runtime, cal_windows)
+    calib = calibrate(
+        runtime, (w for _, ws in record_windows(train_records, windowing) for w in ws)
+    )
     report = evaluate(test_records, runtime, calib, windowing)
     return report, result
 

@@ -1,4 +1,4 @@
-"""Single-window scoring runtime for calibration, detection, and benchmarks.
+"""Scoring runtime for calibration, evaluation, detection, and benchmarks.
 
 Inference runs in 32-bit by default: parameters are cast once, flow
 masks are folded into the MADE weights, and one fused kernel performs
@@ -7,9 +7,17 @@ contract. With numba installed, the scalar loop `_forward_l1` is jitted
 (set FLOWAD_NO_NUMBA=1 to opt out); otherwise `_forward_l1_numpy` runs
 the same maths vectorized over the hidden units, which keeps one window
 within the acceptance latency bound (criterion 8) without a compiler.
-Both sum the L1 in float64. Whichever kernel is selected at import time
-serves every call in the process, so streamed and batch scoring of the
-same window are bit-identical.
+Both sum the L1 in float64.
+
+The contract is batch-first. `ScoringRuntime.l1_error` scores one
+(T, N) window, as the stream needs; `l1_errors` scores a (B, T, N)
+batch, as calibration and evaluation do. The numpy kernel takes the
+whole batch in one call (one input-projection gemm per window, then one
+gemv per window for every later product), while the numba build loops
+the rows over the jitted scalar loop. Either way row b of a batch equals
+the single-window result bit for bit, at every B. Whichever kernel is
+selected at import time serves every call in the process, so streamed
+and batch scoring of the same window are bit-identical.
 """
 
 from __future__ import annotations
@@ -94,31 +102,64 @@ def _forward_l1(x, w_x, w_h, b_g, mu_w, mu_b, lv_w, lv_b,
 def _forward_l1_numpy(x, w_x, w_h, b_g, mu_w, mu_b, lv_w, lv_b,
                       enc_w, enc_b, dec_w, dec_b, alpha_e,
                       d1_w, d1_b, d2_w, d2_b, eps):
-    """`_forward_l1` vectorized over the hidden units, for numpy alone."""
+    """`_forward_l1` vectorized over the hidden units and over any leading
+    batch shape: x is (..., T, N), eps (..., D); returns the (...) errors.
+
+    Every product after the input projection is `matmul(state, W)` with
+    the state shaped (..., 1, K), which numpy serves with one gemv per
+    window, so a window's result does not depend on the batch it rides in.
+    """
+    lead = x.shape[:-2]
     H = b_g.shape[0] // 4
     H3 = 3 * H
-    xp = np.dot(x, w_x) + b_g
-    h = np.zeros(H, dtype=x.dtype)
-    c = np.zeros(H, dtype=x.dtype)
-    for t in range(x.shape[0]):
-        g = xp[t] + np.dot(h, w_h)
-        v = g[:H3]
+    dt = x.dtype
+    xp = np.matmul(x, w_x)  # one (T, N) @ (N, 4H) gemm per window
+    xp += b_g
+    # The step loop is bound by per-call overhead: it works in place on
+    # buffers and views made once, with constants as 0-d arrays.
+    h = np.zeros(lead + (1, H), dtype=dt)
+    c = np.zeros_like(h)
+    u = np.empty_like(h)
+    g = np.empty(lead + (1, 4 * H), dtype=dt)
+    v, g_u = g[..., :H3], g[..., H3:]
+    s = np.empty_like(v)
+    den = np.empty_like(v)
+    pos = np.empty(v.shape, dtype=bool)
+    s_i, s_f, s_o = s[..., :H], s[..., H : 2 * H], s[..., 2 * H :]
+    zero, one = np.zeros((), dtype=dt), np.ones((), dtype=dt)
+    for xp_t in np.moveaxis(xp[..., None, :], -3, 0):
+        np.matmul(h, w_h, out=g)
+        g += xp_t
         # Stable sigmoid: never exponentiate a positive argument.
-        e = np.exp(-np.abs(v))
-        s = np.where(v >= 0.0, 1.0, e) / (1.0 + e)
-        c = s[H:2 * H] * c + s[:H] * np.tanh(g[H3:])
-        h = s[2 * H:H3] * np.tanh(c)
-    z = mu_b + np.dot(h, mu_w)
+        np.greater_equal(v, zero, out=pos)
+        np.abs(v, out=s)
+        np.negative(s, out=s)
+        np.exp(s, out=s)
+        np.add(s, one, out=den)
+        np.copyto(s, one, where=pos)
+        np.divide(s, den, out=s)
+        np.tanh(g_u, out=u)
+        u *= s_i
+        c *= s_f
+        c += u
+        np.tanh(c, out=h)
+        h *= s_o
+    z = np.matmul(h, mu_w)
+    z += mu_b
+    eps = eps.reshape(lead + (1, -1))
     nz = eps != 0.0
     if nz.any():
-        lv = lv_b + np.dot(h, lv_w)
+        lv = np.matmul(h, lv_w)
+        lv += lv_b
         z[nz] += np.exp(0.5 * lv[nz]) * eps[nz]
     for k in range(enc_w.shape[0]):
-        hid = np.maximum(np.dot(z, enc_w[k]) + enc_b[k], 0.0)
-        z = z * alpha_e + (np.dot(hid, dec_w[k]) + dec_b[k])
-    d1 = np.maximum(np.dot(z, d1_w) + d1_b, 0.0)
-    flat = np.dot(d1, d2_w) + d2_b
-    return np.abs(flat - x.ravel()).sum(dtype=np.float64)
+        hid = np.maximum(np.matmul(z, enc_w[k]) + enc_b[k], 0.0)
+        z = z * alpha_e + (np.matmul(hid, dec_w[k]) + dec_b[k])
+    d1 = np.maximum(np.matmul(z, d1_w) + d1_b, 0.0)
+    flat = np.matmul(d1, d2_w) + d2_b
+    flat -= x.reshape(flat.shape)
+    np.abs(flat, out=flat)
+    return flat.astype(np.float64).sum(axis=-1).reshape(lead)
 
 
 if _USE_NUMBA:
@@ -130,7 +171,8 @@ else:
 
 
 class ScoringRuntime:
-    """Holds cast parameters and scores raw windows one at a time."""
+    """Holds cast parameters and scores raw windows: one at a time
+    (`l1_error`, the stream) or a batch per call (`l1_errors`)."""
 
     def __init__(self, config: ModelConfig, gen_arrays: dict, norm_stats: NormStats,
                  dtype=np.float32):
@@ -168,6 +210,12 @@ class ScoringRuntime:
         self._d1_b = cast(a["dec1_b"])
         self._d2_w = cast(a["dec2_w"])
         self._d2_b = cast(a["dec2_b"])
+        # The kernel's arguments between the window and eps, in order.
+        self._weights = (
+            self._w_x, self._w_h, self._b_g, self._mu_w, self._mu_b, self._lv_w, self._lv_b,
+            self._enc_w, self._enc_b, self._dec_w, self._dec_b, self._alpha_e,
+            self._d1_w, self._d1_b, self._d2_w, self._d2_b,
+        )
         self._mean = np.ascontiguousarray(norm_stats.mean, dtype=np.float64)
         self._std = np.ascontiguousarray(norm_stats.std, dtype=np.float64)
         self._zero_eps = np.zeros(D, dtype=dt)
@@ -181,25 +229,38 @@ class ScoringRuntime:
         x = (np.asarray(window_raw, dtype=np.float64) - self._mean) / self._std
         return np.ascontiguousarray(x, dtype=self.dtype)
 
+    def _check_shape(self, x: np.ndarray, what: str, lead: tuple):
+        want = lead + (self.config.window_len, self.config.n_signals)
+        if x.shape != want:
+            raise InputError(f"{what} shape {x.shape} does not match model {want}")
+
     def l1_error(self, window_raw: np.ndarray, eps=None) -> float:
         """Full inference on one raw (T_W, N) window: normalize,
         reconstruct, and return the L1 distance in normalized units."""
         x = np.asarray(window_raw)
-        if x.shape != (self.config.window_len, self.config.n_signals):
-            raise InputError(
-                f"window shape {x.shape} does not match model "
-                f"({self.config.window_len}, {self.config.n_signals})"
-            )
-        xn = self.normalize(x)
+        self._check_shape(x, "window", ())
         e = self._zero_eps if eps is None else np.ascontiguousarray(eps, dtype=self.dtype)
-        return float(
-            _forward_l1_kernel(
-                xn, self._w_x, self._w_h, self._b_g,
-                self._mu_w, self._mu_b, self._lv_w, self._lv_b,
-                self._enc_w, self._enc_b, self._dec_w, self._dec_b,
-                self._alpha_e, self._d1_w, self._d1_b, self._d2_w, self._d2_b, e,
-            )
-        )
+        return float(_forward_l1_kernel(self.normalize(x), *self._weights, e))
+
+    def l1_errors(self, windows_raw: np.ndarray, eps=None) -> np.ndarray:
+        """`l1_error` of each raw window of a (B, T_W, N) batch, with eps
+        (B, D) or None, as a (B,) float64 array. Row b equals
+        `l1_error(windows_raw[b], eps[b])` bit for bit, whatever B is."""
+        x = np.asarray(windows_raw)
+        self._check_shape(x, "window batch", x.shape[:1])
+        B, D = x.shape[0], self.config.latent_size
+        if eps is None:
+            e = np.zeros((B, D), dtype=self.dtype)
+        else:
+            e = np.ascontiguousarray(eps, dtype=self.dtype)
+            if e.shape != (B, D):
+                raise InputError(f"eps shape {e.shape} does not match ({B}, {D})")
+        xn = self.normalize(x)
+        if _forward_l1_kernel is _forward_l1_numpy:
+            return _forward_l1_numpy(xn, *self._weights, e)
+        # The jitted scalar loop takes one window at a time.
+        return np.array([_forward_l1_kernel(xn[b], *self._weights, e[b]) for b in range(B)],
+                        dtype=np.float64)
 
     def warm_up(self):
         """Trigger JIT compilation outside any timed region."""

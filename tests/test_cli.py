@@ -10,7 +10,10 @@ import pytest
 
 from flowad.checkpoint import load_checkpoint
 from flowad.cli import main
-from flowad.data import load_records, manifest_path
+from flowad.data import WindowingConfig, load_records, manifest_path
+from flowad.detection import CalibrationStats
+from flowad.evaluation import per_type_auroc, roc_curve, score_records
+from flowad.fastpath import ScoringRuntime
 
 CONFIG = {
     "windowing": {"window_len": 40, "stride": 20},
@@ -195,6 +198,39 @@ class TestEval:
         last = [float(c) for c in lines[-1].split(",")]
         assert first == [0.0, 0.0] and last == [1.0, 1.0]
 
+    def test_roc_matches_report_scores_in_sample_mode(self, env, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(CONFIG, detect={"eps_mode": "sample",
+                                                             "eps_seed": 7})))
+        ckpt = tmp_path / "sample.ckpt"
+        assert main(["calibrate", "--config", str(cfg_path), "--checkpoint", env["ckpt_uncal"],
+                     "--data", str(env["train_csv"]), "--out", str(ckpt)]) == 0
+        report_path, roc_path = tmp_path / "report.json", tmp_path / "roc.csv"
+        assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                     "--data", str(env["test_csv"]), "--out", str(report_path),
+                     "--roc-out", str(roc_path)]) == 0
+        # Rescore as the report must have: sampled eps with the configured seed.
+        loaded = load_checkpoint(ckpt)
+        scored, _ = score_records(
+            load_records(env["test_csv"]), ScoringRuntime.from_checkpoint(loaded),
+            CalibrationStats.from_dict(loaded.calibration),
+            WindowingConfig(**CONFIG["windowing"]), "sample", 7,
+        )
+        assert json.loads(report_path.read_text())["per_type"] == per_type_auroc(scored).per_type
+        points = roc_curve([r.record_score for r in scored], [r.label != "normal" for r in scored])
+        want = "fpr,tpr\n" + "".join(f"{float(f)!r},{float(t)!r}\n" for f, t in points)
+        assert roc_path.read_text() == want
+
+    def test_corrupt_checkpoint_header_exits_2(self, env, tmp_path, capsys):
+        with open(env["ckpt"], "rb") as fh:
+            raw = fh.read()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(raw[:12] + b"]" + raw[13:])  # the header's opening brace
+        code = main(["eval", "--config", env["cfg"], "--checkpoint", str(bad),
+                     "--data", str(env["test_csv"]), "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
     def test_report_byte_identical_reruns(self, env, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
@@ -280,6 +316,15 @@ class TestDetect:
                      "--input", str(path), "--threshold", "3.0"])
         assert code == 2
         assert "stream line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_exits_2(self, env, tmp_path, capsys, cell):
+        path = tmp_path / "nonfinite.txt"
+        path.write_text(f"0,1.0,2.0,3.0,4.0\n1,1.0,{cell},3.0,4.0\n")
+        code = main(["detect", "--config", env["cfg"], "--checkpoint", env["ckpt"],
+                     "--input", str(path), "--threshold", "3.0"])
+        assert code == 2
+        assert "stream line 2: non-finite value" in capsys.readouterr().err
 
     def test_uncalibrated_checkpoint_exits_2(self, env, tmp_path):
         frames = _frames_file(env, tmp_path / "frames.txt")

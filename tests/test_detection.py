@@ -27,16 +27,16 @@ from flowad.model import build_flow_masks, generator_forward
 
 class _StubRuntime:
     """Replays a fixed sequence of L1 errors; enough of the runtime
-    surface for calibrate()."""
+    surface for calibrate(), which scores windows in blocks."""
 
     def __init__(self, values):
         self._values = list(values)
         self._i = 0
 
-    def l1_error(self, window, eps=None):
-        v = self._values[self._i % len(self._values)]
-        self._i += 1
-        return float(v)
+    def l1_errors(self, windows, eps=None):
+        out = [self._values[(self._i + b) % len(self._values)] for b in range(len(windows))]
+        self._i += len(windows)
+        return np.array(out, dtype=np.float64)
 
 
 class TestL1Error:
@@ -124,10 +124,32 @@ class TestCalibrate:
         assert stats.mu == errors.mean()
         assert stats.sigma == max(errors.std(), 1e-8)
 
+    @pytest.mark.parametrize("eps_mode", ["zero", "sample"])
+    def test_block_scoring_equals_per_window_path(self, trained_small, eps_mode):
+        # 150 windows: four full blocks and a partial one, fed as a generator.
+        runtime = trained_small["runtime"]
+        windows = _train_windows(trained_small)[:150]
+        stats = calibrate(runtime, (w for w in windows), eps_mode=eps_mode, eps_seed=9)
+        rng = np.random.default_rng(9)
+        d = runtime.config.latent_size
+        errors = np.array([
+            runtime.l1_error(w.values, rng.standard_normal(d) if eps_mode == "sample" else None)
+            for w in windows
+        ])
+        mu, sigma = errors.mean(), max(errors.std(), 1e-8)
+        assert stats.n_windows == 150
+        assert (stats.mu, stats.sigma) == (mu, sigma)
+        assert stats.scores_sorted.tobytes() == np.sort((errors - mu) / sigma).tobytes()
+
 
 # float64 differs from the model only in summation order; float32 rounds
 # every parameter and activation.
 _KERNEL_RTOL = {np.float64: 1e-12, np.float32: 1e-5}
+
+
+def _train_windows(trained_small):
+    windowing = trained_small["windowing"]
+    return [w for r in trained_small["train_records"] for w in sliding_windows(r, windowing)]
 
 
 def _kernel_windows(trained_small):
@@ -157,9 +179,10 @@ class TestScoringKernel:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("reference", ["interpreted", "numba"])
-    def test_numpy_kernel_matches_scalar_loop(self, trained_small, monkeypatch, dtype, reference):
+    def test_numpy_kernel_matches_scalar_loop(self, trained_small, dtype, reference):
         # The scalar loop is the source numba compiles; check it both as
-        # plain Python and, where numba is installed, jitted.
+        # plain Python and, where numba is installed, jitted. The numpy
+        # kernel gets the windows as one (B, T, N) batch.
         if reference == "numba":
             numba = pytest.importorskip("numba")
             scalar = numba.njit(fastpath._forward_l1)
@@ -168,14 +191,43 @@ class TestScoringKernel:
         result = trained_small["result"]
         runtime = fastpath.ScoringRuntime(trained_small["model_cfg"], result.generator.arrays,
                                           result.norm_stats, dtype=dtype)
-        eps = np.random.default_rng(5).standard_normal(runtime.config.latent_size)
-        for w in _kernel_windows(trained_small):
-            for e in (None, eps):
-                monkeypatch.setattr(fastpath, "_forward_l1_kernel", fastpath._forward_l1_numpy)
-                got = runtime.l1_error(w, e)
-                monkeypatch.setattr(fastpath, "_forward_l1_kernel", scalar)
-                want = runtime.l1_error(w, e)
-                assert got == pytest.approx(want, rel=_KERNEL_RTOL[dtype])
+        xs = runtime.normalize(np.stack(_kernel_windows(trained_small)))
+        d = runtime.config.latent_size
+        eps = np.random.default_rng(5).standard_normal((len(xs), d)).astype(dtype)
+        for e in (np.zeros_like(eps), eps):
+            got = fastpath._forward_l1_numpy(xs, *runtime._weights, e)
+            want = [scalar(x, *runtime._weights, eb) for x, eb in zip(xs, e)]
+            assert got.shape == (len(xs),)
+            np.testing.assert_allclose(got, want, rtol=_KERNEL_RTOL[dtype])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("use_flow", [True, False])
+    @pytest.mark.parametrize("with_eps", [False, True])
+    def test_l1_errors_rows_do_not_depend_on_batch_size(self, trained_small, dtype, use_flow,
+                                                        with_eps):
+        cfg = dataclasses.replace(trained_small["model_cfg"], use_flow=use_flow)
+        result = trained_small["result"]
+        runtime = fastpath.ScoringRuntime(cfg, result.generator.arrays, result.norm_stats,
+                                          dtype=dtype)
+        windows = np.stack([w.values for w in _train_windows(trained_small)[:64]])
+        eps = (np.random.default_rng(6).standard_normal((64, cfg.latent_size))
+               if with_eps else None)
+        want = np.array([runtime.l1_error(w, None if eps is None else eps[i])
+                         for i, w in enumerate(windows)])
+        for B in (1, 7, 64):
+            got = np.concatenate([
+                runtime.l1_errors(windows[i : i + B], None if eps is None else eps[i : i + B])
+                for i in range(0, 64, B)
+            ])
+            assert got.dtype == np.float64
+            assert got.tobytes() == want.tobytes(), f"B={B}"
+
+    def test_l1_errors_rejects_bad_shapes(self, trained_small):
+        runtime = trained_small["runtime"]
+        with pytest.raises(InputError, match="window batch shape"):
+            runtime.l1_errors(np.zeros((100, 6)))
+        with pytest.raises(InputError, match="eps shape"):
+            runtime.l1_errors(np.zeros((2, 100, 6)), np.zeros((3, runtime.config.latent_size)))
 
 
 class TestScoringAndClassify:
@@ -327,6 +379,16 @@ class TestStreamDetector:
         det.push(np.zeros(6))
         with pytest.raises(StreamError, match="frame 1"):
             det.push(np.zeros(5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_frame_is_stream_error(self, trained_small, bad):
+        det = self._detector(trained_small)
+        det.push(np.zeros(6))
+        frame = np.zeros(6)
+        frame[3] = bad
+        with pytest.raises(StreamError, match="frame 1 has a non-finite value"):
+            det.push(frame)
+        assert det.frames_seen == 1
 
     def test_sampled_eps_reproducible_by_seed(self, trained_small):
         runtime = trained_small["runtime"]

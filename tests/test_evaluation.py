@@ -4,7 +4,8 @@ per-type averaging, record scoring, IQR-mean latency, ablation configs."""
 import numpy as np
 import pytest
 
-from flowad.data import Record, WindowingConfig, window_count
+from flowad.data import Record, WindowingConfig, sliding_windows, window_count
+from flowad.detection import score_from_l1
 from flowad.errors import InputError
 from flowad.evaluation import (
     LatencyReport,
@@ -228,6 +229,28 @@ class TestScoreRecords:
                 None,
                 trained_small["windowing"],
             )
+
+    @pytest.mark.parametrize("eps_mode", ["zero", "sample"])
+    def test_block_scoring_equals_per_window_path(self, trained_small, eps_mode):
+        # A 9-window record first, so scoring blocks straddle records.
+        tr = trained_small["test_records"]
+        long = Record(sample_id="long", frames=np.concatenate([tr[0].frames, tr[1].frames]))
+        records = [long] + tr[2:14]
+        runtime, calib = trained_small["runtime"], trained_small["calib"]
+        windowing = trained_small["windowing"]
+        scored, skipped = score_records(records, runtime, calib, windowing, eps_mode, 4)
+        assert skipped == 0 and len(scored) == len(records)
+        rng = np.random.default_rng(4)
+        d = runtime.config.latent_size
+        for rec, sr in zip(records, scored):
+            want = np.array([
+                score_from_l1(runtime.l1_error(
+                    w.values, rng.standard_normal(d) if eps_mode == "sample" else None), calib)
+                for w in sliding_windows(rec, windowing)
+            ])
+            assert sr.sample_id == rec.sample_id
+            assert sr.window_scores.tobytes() == want.tobytes()
+            assert sr.record_score == want.max()
 
     def test_deterministic_in_zero_eps_mode(self, trained_small):
         args = (

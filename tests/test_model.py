@@ -1,6 +1,8 @@
 """Network forward passes, autoregressive masking, flow invertibility,
 and checkpoint serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -411,6 +413,48 @@ def test_checkpoint_corruption_detected(tmp_path):
     raw[-3] ^= 0xFF
     path.write_bytes(bytes(raw))
     with pytest.raises(InputError, match="digest"):
+        load_checkpoint(path)
+
+
+def _rewrite_header(path, header: bytes):
+    raw = path.read_bytes()
+    payload = raw[12 + int.from_bytes(raw[8:12], "little"):]
+    path.write_bytes(raw[:8] + len(header).to_bytes(4, "little") + header + payload)
+
+
+def test_checkpoint_header_not_json(tmp_path):
+    path, *_ = _small_checkpoint(tmp_path)
+    _rewrite_header(path, b'{"format_version": 1,')
+    with pytest.raises(InputError, match="not valid JSON"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_header_truncated(tmp_path):
+    path, *_ = _small_checkpoint(tmp_path)
+    path.write_bytes(path.read_bytes()[:60])
+    with pytest.raises(InputError, match="truncated"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key", ["format_version", "model_config", "norm_stats", "arrays",
+                                 "payload_sha256"])
+def test_checkpoint_header_missing_key(tmp_path, key):
+    path, *_ = _small_checkpoint(tmp_path)
+    raw = path.read_bytes()
+    header = json.loads(raw[12 : 12 + int.from_bytes(raw[8:12], "little")])
+    del header[key]
+    _rewrite_header(path, json.dumps(header).encode())
+    with pytest.raises(InputError, match=f"lacks {key}"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_header_missing_nested_key(tmp_path):
+    path, *_ = _small_checkpoint(tmp_path)
+    raw = path.read_bytes()
+    header = json.loads(raw[12 : 12 + int.from_bytes(raw[8:12], "little")])
+    del header["arrays"][0]["shape"]
+    _rewrite_header(path, json.dumps(header).encode())
+    with pytest.raises(InputError, match="malformed.*shape"):
         load_checkpoint(path)
 
 
