@@ -2,7 +2,7 @@
 
 Implements exactly the primitive set the window models need: matrix
 products, broadcasting elementwise arithmetic, exp/log/tanh/sigmoid/
-relu/abs, clipping, basic slicing, reshape/concat and full-array sums.
+relu/abs, clipping, basic slicing, reshape and full-array sums.
 Training runs in float64 throughout; every Tensor coerces to float64.
 
 The free functions (matmul, exp, ...) dispatch on their arguments:
@@ -361,23 +361,6 @@ def reshape(x, shape):
     return _make(out, "reshape", (x,), backward)
 
 
-def concat(parts, axis: int = -1):
-    tensors = [p for p in parts if isinstance(p, Tensor)]
-    datas = [_raw(p) for p in parts]
-    if not tensors:
-        return np.concatenate(datas, axis=axis)
-    out = np.concatenate(datas, axis=axis)
-    sizes = [d.shape[axis] for d in datas]
-
-    def backward(g):
-        pieces = np.split(g, np.cumsum(sizes)[:-1], axis=axis)
-        for p, piece in zip(parts, pieces):
-            if isinstance(p, Tensor):
-                _acc(p, piece)
-
-    return _make(out, "concat", tuple(parts), backward)
-
-
 def getitem(x: Tensor, idx):
     """Basic slicing only; slices must not select any index twice."""
     out = x.data[idx]
@@ -486,43 +469,3 @@ def value_and_grad(fn: Callable, params: Mapping[str, np.ndarray], has_aux: bool
     if has_aux:
         return (value, aux), grads
     return value, grads
-
-
-def eval_scalar(fn: Callable, params: Mapping[str, np.ndarray]) -> float:
-    """Forward-only evaluation of a loss function (no gradients kept)."""
-    out = fn(_wrap_leaves(params))
-    if isinstance(out, tuple):
-        out = out[0]
-    return out.data.item()
-
-
-def finite_diff_check(
-    fn: Callable,
-    params: Mapping[str, np.ndarray],
-    step: float = 1e-5,
-) -> float:
-    """Max relative error between analytic and central-difference grads.
-
-    Error per coordinate is |analytic - central| / max(|analytic|,
-    |central|, 1e-12); the maximum over every coordinate of every
-    parameter is returned.
-    """
-    _, grads = value_and_grad(fn, params)
-    work = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
-    worst = 0.0
-    for name in params:
-        flat = work[name].ravel()
-        gflat = grads[name].ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            up = eval_scalar(fn, work)
-            flat[i] = orig - step
-            down = eval_scalar(fn, work)
-            flat[i] = orig
-            central = (up - down) / (2.0 * step)
-            denom = max(abs(gflat[i]), abs(central), 1e-12)
-            err = abs(gflat[i] - central) / denom
-            if err > worst:
-                worst = err
-    return worst

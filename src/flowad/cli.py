@@ -39,6 +39,7 @@ from .detection import (
 )
 from .errors import FlowadError, InputError
 from .evaluation import (
+    ablation_train_config,
     ablation_variants,
     bench_latency,
     evaluate,  # noqa: F401 - perfbench/launcher.py traces it here
@@ -109,29 +110,17 @@ def _model_config(cfg: dict, n_signals: int, window_len: int) -> ModelConfig:
         raise InputError(f"bad model config: {e}") from None
 
 
-def _apply_ablation(model_cfg: ModelConfig, train_cfg: TrainConfig, name: str):
-    if name == "none":
-        return model_cfg, train_cfg
-    variants = ablation_variants(model_cfg)
-    key = name.replace("-", "_")
-    model_cfg = variants[key]
-    if name == "no-sparsity":
-        from dataclasses import replace
-
-        train_cfg = replace(train_cfg, lam=0.0)
-    return model_cfg, train_cfg
-
-
-def _stride_for(cfg: dict, ckpt) -> int:
-    """Stride precedence: explicit config, then the stride recorded in
-    the checkpoint at train time, then non-overlapping windows."""
-    sec = _section(cfg, "windowing")
-    if sec.get("stride") is not None:
-        return int(sec["stride"])
-    stored = (ckpt.meta or {}).get("resolved_config", {}).get("windowing", {})
-    if stored.get("stride") is not None:
-        return int(stored["stride"])
-    return ckpt.config.window_len
+def _checkpoint_windowing(cfg: dict, ckpt) -> WindowingConfig:
+    """The checkpoint's window length with a stride taken from, in order:
+    explicit config, the stride recorded in the checkpoint at train
+    time, then non-overlapping windows."""
+    stride = _section(cfg, "windowing").get("stride")
+    if stride is None:
+        stored = (ckpt.meta or {}).get("resolved_config", {}).get("windowing", {})
+        stride = stored.get("stride")
+    if stride is None:
+        stride = ckpt.config.window_len
+    return WindowingConfig(window_len=ckpt.config.window_len, stride=int(stride))
 
 
 def _detect_section(cfg: dict, args) -> dict:
@@ -191,7 +180,10 @@ def cmd_train(args) -> int:
         records = [downsample(r, args.freq_downsample) for r in records]
     n_signals = records[0].n_signals
     model_cfg = _model_config(cfg, n_signals, windowing.window_len)
-    model_cfg, train_cfg = _apply_ablation(model_cfg, train_cfg, args.ablation)
+    if args.ablation != "none":
+        name = args.ablation.replace("-", "_")
+        model_cfg = ablation_variants(model_cfg)[name]
+        train_cfg = ablation_train_config(name, train_cfg)
 
     result = train(records, model_cfg, train_cfg, windowing)
 
@@ -240,9 +232,7 @@ def cmd_calibrate(args) -> int:
     detect_sec = _detect_section(cfg, args)
     records = load_records(args.data)
     _require_all_normal(records, "calibration data")
-    windowing = WindowingConfig(
-        window_len=ckpt.config.window_len, stride=_stride_for(cfg, ckpt)
-    )
+    windowing = _checkpoint_windowing(cfg, ckpt)
     for r in records:
         if r.n_signals != ckpt.config.n_signals:
             raise InputError(
@@ -303,9 +293,7 @@ def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     calib = _loaded_calibration(ckpt)
     records = load_records(args.data)
-    windowing = WindowingConfig(
-        window_len=ckpt.config.window_len, stride=_stride_for(cfg, ckpt)
-    )
+    windowing = _checkpoint_windowing(cfg, ckpt)
     runtime = ScoringRuntime.from_checkpoint(ckpt)
     # One scoring pass serves both the report and the ROC points.
     scored, skipped = score_records(
@@ -338,13 +326,16 @@ def cmd_eval(args) -> int:
 
 
 def _frame_lines(source):
+    """Frames of `frame_idx,sig_0,...` lines, skipping blank ones; as in
+    load_records, frame_idx must run 0, 1, 2, ... without gaps."""
+    expected = 0
     for line_no, line in enumerate(source, start=1):
         line = line.strip()
         if not line:
             continue
         cells = line.split(",")
         try:
-            int(cells[0])
+            idx = int(cells[0])
             values = [float(c) for c in cells[1:]]
         except ValueError:
             raise InputError(
@@ -352,6 +343,11 @@ def _frame_lines(source):
             ) from None
         if not all(map(math.isfinite, values)):
             raise InputError(f"stream line {line_no}: non-finite value in {line!r}")
+        if idx != expected:
+            raise InputError(
+                f"stream line {line_no}: frame_idx {idx} out of order (expected {expected})"
+            )
+        expected += 1
         yield np.array(values, dtype=np.float64)
 
 
@@ -368,9 +364,7 @@ def cmd_detect(args) -> int:
         theta = threshold_for_fpr(calib, float(detect_sec["target_fpr"]))
     else:
         raise InputError("a decision threshold is required: --threshold or --target-fpr")
-    windowing = WindowingConfig(
-        window_len=ckpt.config.window_len, stride=_stride_for(cfg, ckpt)
-    )
+    windowing = _checkpoint_windowing(cfg, ckpt)
     det_cfg = DetectorConfig(
         theta=theta,
         windowing=windowing,

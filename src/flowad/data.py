@@ -108,20 +108,18 @@ def window_count(n_frames: int, cfg: WindowingConfig) -> int:
 
 
 def sliding_windows(record: Record, cfg: WindowingConfig) -> list[Window]:
-    """All full windows of a record, oldest first, as copies.
+    """All full windows of a record, oldest first, as copies of
+    record_windows' view.
 
-    Callers that tolerate short records must check window_count first.
+    Callers that tolerate short records use record_windows instead.
     """
     if record.n_frames < cfg.window_len:
         raise InputError(
             f"record '{record.sample_id}' ({record.n_frames} frames) is "
             f"shorter than the window length {cfg.window_len}"
         )
-    out = []
-    for i in range(window_count(record.n_frames, cfg)):
-        start = i * cfg.stride
-        out.append(Window(start=start, values=record.frames[start : start + cfg.window_len].copy()))
-    return out
+    [(_, view)] = record_windows([record], cfg)
+    return [Window(start=i * cfg.stride, values=w.copy()) for i, w in enumerate(view)]
 
 
 def record_windows(
@@ -154,30 +152,17 @@ def fit_normalization(records: list[Record], floor: float = 1e-8) -> NormStats:
     return NormStats(mean=mean, std=std)
 
 
-def _check_stats_width(values: np.ndarray, stats: NormStats):
+def normalize_values(values: np.ndarray, stats: NormStats) -> np.ndarray:
     if values.shape[-1] != stats.mean.shape[0]:
         raise InputError(
             f"normalization stats cover {stats.mean.shape[0]} signals, "
             f"data has {values.shape[-1]}"
         )
-
-
-def normalize_values(values: np.ndarray, stats: NormStats) -> np.ndarray:
-    _check_stats_width(values, stats)
     return (values - stats.mean) / stats.std
-
-
-def denormalize_values(values: np.ndarray, stats: NormStats) -> np.ndarray:
-    _check_stats_width(values, stats)
-    return values * stats.std + stats.mean
 
 
 def apply_normalization(record: Record, stats: NormStats) -> Record:
     return replace(record, frames=normalize_values(record.frames, stats))
-
-
-def invert_normalization(record: Record, stats: NormStats) -> Record:
-    return replace(record, frames=denormalize_values(record.frames, stats))
 
 
 def downsample(record: Record, n: int) -> Record:
@@ -220,7 +205,10 @@ def read_manifest(csv_path) -> dict | None:
     path = manifest_path(csv_path)
     if not path.exists():
         return None
-    return json.loads(path.read_text())
+    try:
+        return json.loads(path.read_text())
+    except ValueError as e:  # undecodable bytes or malformed JSON
+        raise DatasetError(f"manifest {path.name} is not valid JSON: {e}") from None
 
 
 def save_records(records: list[Record], csv_path, manifest_extra: dict | None = None) -> Path:
@@ -267,9 +255,18 @@ def load_records(csv_path, sample_rate_hz: float | None = None) -> list[Record]:
     csv_path = Path(csv_path)
     if not csv_path.exists():
         raise InputError(f"dataset file not found: {csv_path}")
+    declared_rate, declared_n = 100.0, None
     manifest = read_manifest(csv_path)
+    if manifest is not None:
+        try:
+            declared_rate = float(manifest["sample_rate_hz"])
+            declared_n = int(manifest["n_signals"])
+        except (KeyError, TypeError, ValueError) as e:
+            raise DatasetError(
+                f"manifest {manifest_path(csv_path).name} is malformed: {e!r}"
+            ) from None
     if sample_rate_hz is None:
-        sample_rate_hz = float(manifest["sample_rate_hz"]) if manifest else 100.0
+        sample_rate_hz = declared_rate
 
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
@@ -288,10 +285,8 @@ def load_records(csv_path, sample_rate_hz: float | None = None) -> list[Record]:
         expected = [f"sig_{j}" for j in range(n)]
         if sig_cols != expected:
             raise DatasetError("row 1: signal columns must be sig_0..sig_{n-1} in order")
-        if manifest and int(manifest["n_signals"]) != n:
-            raise DatasetError(
-                f"manifest declares {manifest['n_signals']} signals, header has {n}"
-            )
+        if declared_n is not None and declared_n != n:
+            raise DatasetError(f"manifest declares {declared_n} signals, header has {n}")
 
         records: list[Record] = []
         seen: set[str] = set()

@@ -44,6 +44,8 @@ class CalibrationStats:
     scores_sorted: np.ndarray | None = None
 
     def __post_init__(self):
+        if not (np.isfinite(self.mu) and np.isfinite(self.sigma)):
+            raise InputError("mu and sigma must be finite")
         if self.sigma < SIGMA_FLOOR:
             raise InputError(f"sigma must be >= {SIGMA_FLOOR}")
         if self.eps_mode not in ("zero", "sample"):
@@ -62,15 +64,19 @@ class CalibrationStats:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CalibrationStats":
-        return cls(
-            mu=float(d["mu"]),
-            sigma=float(d["sigma"]),
-            eps_mode=d.get("eps_mode", "zero"),
-            n_windows=int(d.get("n_windows", 0)),
-            scores_sorted=None
-            if d.get("scores_sorted") is None
-            else np.asarray(d["scores_sorted"], dtype=np.float64),
-        )
+        """Inverse of to_dict; a malformed dict is an InputError."""
+        try:
+            return cls(
+                mu=float(d["mu"]),
+                sigma=float(d["sigma"]),
+                eps_mode=d.get("eps_mode", "zero"),
+                n_windows=int(d.get("n_windows", 0)),
+                scores_sorted=None
+                if d.get("scores_sorted") is None
+                else np.asarray(d["scores_sorted"], dtype=np.float64),
+            )
+        except (KeyError, TypeError, ValueError) as e:
+            raise InputError(f"calibration stats are malformed: {e!r}") from None
 
 
 @dataclass
@@ -96,19 +102,6 @@ class DetectorConfig:
             raise InputError(f"unknown eps_mode '{self.eps_mode}'")
 
 
-def l1_error(w: np.ndarray, w_prime: np.ndarray) -> float:
-    """Sum of absolute entrywise differences."""
-    w = np.asarray(w, dtype=np.float64)
-    w_prime = np.asarray(w_prime, dtype=np.float64)
-    if w.shape != w_prime.shape:
-        raise InputError(f"shape mismatch: {w.shape} vs {w_prime.shape}")
-    return float(np.abs(w - w_prime).sum())
-
-
-def _window_values(w) -> np.ndarray:
-    return w.values if hasattr(w, "values") else np.asarray(w)
-
-
 def _eps_stream(runtime: ScoringRuntime, eps_mode: str, eps_seed: int):
     """Epsilon drawer matching the configured mode: draw() gives one
     window's (D,) noise, draw(B) a block's (B, D), the same numbers B
@@ -123,7 +116,8 @@ def _eps_stream(runtime: ScoringRuntime, eps_mode: str, eps_seed: int):
 def score_windows(
     runtime: ScoringRuntime, windows, eps_mode: str = "zero", eps_seed: int = 0
 ) -> np.ndarray:
-    """L1 errors of raw windows, in order, BLOCK_WINDOWS per kernel call.
+    """L1 errors of raw (T_W, N) window arrays, in order, BLOCK_WINDOWS
+    per kernel call.
 
     Epsilon is drawn per window in window order, and a block's rows equal
     one-at-a-time scoring bit for bit, so the blocking changes no result.
@@ -131,7 +125,7 @@ def score_windows(
     draw = _eps_stream(runtime, eps_mode, eps_seed)
     it = iter(windows)
     errors = []
-    while block := [_window_values(w) for w in islice(it, BLOCK_WINDOWS)]:
+    while block := list(islice(it, BLOCK_WINDOWS)):
         errors.append(runtime.l1_errors(np.stack(block), draw(len(block))))
     return np.concatenate(errors) if errors else np.empty(0)
 
@@ -166,15 +160,6 @@ def calibrate(
 
 def score_from_l1(l1: float, calib: CalibrationStats) -> float:
     return (l1 - calib.mu) / calib.sigma
-
-
-def anomaly_score(
-    runtime: ScoringRuntime, window_raw, calib: CalibrationStats, eps=None
-) -> float:
-    """Standardized L1 reconstruction error of one raw window."""
-    if calib is None:
-        raise InputError("anomaly scoring requires calibration stats")
-    return score_from_l1(runtime.l1_error(_window_values(window_raw), eps), calib)
 
 
 def classify(score: float, theta: float) -> bool:

@@ -42,12 +42,6 @@ class ScoredRecord:
 
 
 @dataclass
-class RocSummary:
-    points: np.ndarray  # (k, 2) rows of (FPR, TPR)
-    auroc: float
-
-
-@dataclass
 class TypeAurocReport:
     per_type: dict[str, float]
     mean: float
@@ -181,10 +175,6 @@ def trapezoid_auc(points: np.ndarray) -> float:
     return float(np.sum((x[1:] - x[:-1]) * (y[1:] + y[:-1]) * 0.5))
 
 
-def roc_summary(scores, labels) -> RocSummary:
-    return RocSummary(points=roc_curve(scores, labels), auroc=auroc(scores, labels))
-
-
 def per_type_auroc(scored: list[ScoredRecord]) -> TypeAurocReport:
     """Per-type AUROC over (that type's records + all normals);
     overall = unweighted mean across types, std across types."""
@@ -225,9 +215,10 @@ def bench_latency(
     repetitions: int = 1,
     warmup: int = 20,
 ) -> LatencyReport:
-    """Time one full inference (normalize -> forward -> score) per
-    window, single-threaded; at least 100 timed inferences required."""
-    windows = [w.values if hasattr(w, "values") else np.asarray(w) for w in windows]
+    """Time one full inference (normalize -> forward -> score) per raw
+    (T_W, N) window array, single-threaded; at least 100 timed
+    inferences required."""
+    windows = list(windows)
     if not windows:
         raise InputError("bench_latency needs at least one window")
     n_timed = len(windows) * repetitions
@@ -332,6 +323,12 @@ def train_and_evaluate(
     return report, result
 
 
+def ablation_train_config(name: str, train_cfg: TrainConfig) -> TrainConfig:
+    """The train config of ablation variant `name`: no_sparsity also
+    switches the L1 penalty off (lam=0)."""
+    return replace(train_cfg, lam=0.0) if name == "no_sparsity" else train_cfg
+
+
 def run_ablation(
     train_records: list[Record],
     test_records: list[Record],
@@ -343,7 +340,7 @@ def run_ablation(
     data and seed; returns a JSON-ready comparison report."""
     out: dict = {"seed": train_cfg.seed, "variants": {}}
     for name, cfg in ablation_variants(model_cfg).items():
-        tcfg = replace(train_cfg, lam=0.0) if name == "no_sparsity" else train_cfg
+        tcfg = ablation_train_config(name, train_cfg)
         t0 = time.perf_counter()
         report, _ = train_and_evaluate(
             train_records, test_records, cfg, tcfg, windowing

@@ -9,15 +9,15 @@ the same maths vectorized over the hidden units, which keeps one window
 within the acceptance latency bound (criterion 8) without a compiler.
 Both sum the L1 in float64.
 
-The contract is batch-first. `ScoringRuntime.l1_error` scores one
-(T, N) window, as the stream needs; `l1_errors` scores a (B, T, N)
-batch, as calibration and evaluation do. The numpy kernel takes the
+The contract is batch-first, and `ScoringRuntime.l1_errors` is its one
+entry point: it scores a (B, T, N) batch, as calibration and evaluation
+do, and `l1_error` is the same call at B=1, as the stream needs. The
+batch kernel is selected once at import. The numpy kernel takes the
 whole batch in one call (one input-projection gemm per window, then one
 gemv per window for every later product), while the numba build loops
 the rows over the jitted scalar loop. Either way row b of a batch equals
-the single-window result bit for bit, at every B. Whichever kernel is
-selected at import time serves every call in the process, so streamed
-and batch scoring of the same window are bit-identical.
+the single-window result bit for bit, at every B, so streamed and batch
+scoring of the same window are bit-identical.
 """
 
 from __future__ import annotations
@@ -164,15 +164,22 @@ def _forward_l1_numpy(x, w_x, w_h, b_g, mu_w, mu_b, lv_w, lv_b,
 
 if _USE_NUMBA:
     BACKEND = "numba"
-    _forward_l1_kernel = njit(cache=True, fastmath=False)(_forward_l1)
+    _forward_l1_jit = njit(cache=True, fastmath=False)(_forward_l1)
+
+    def _forward_l1_kernel(x, *weights_and_eps):
+        """The batch contract over the jitted single-window loop: row b
+        of x (B, T, N) with row b of eps (B, D)."""
+        *weights, eps = weights_and_eps
+        return np.array([_forward_l1_jit(x[b], *weights, eps[b]) for b in range(len(x))],
+                        dtype=np.float64)
 else:
     BACKEND = "numpy"
     _forward_l1_kernel = _forward_l1_numpy
 
 
 class ScoringRuntime:
-    """Holds cast parameters and scores raw windows: one at a time
-    (`l1_error`, the stream) or a batch per call (`l1_errors`)."""
+    """Holds cast parameters and scores raw windows a batch per call
+    (`l1_errors`); `l1_error` is the stream's one-window form of it."""
 
     def __init__(self, config: ModelConfig, gen_arrays: dict, norm_stats: NormStats,
                  dtype=np.float32):
@@ -218,7 +225,6 @@ class ScoringRuntime:
         )
         self._mean = np.ascontiguousarray(norm_stats.mean, dtype=np.float64)
         self._std = np.ascontiguousarray(norm_stats.std, dtype=np.float64)
-        self._zero_eps = np.zeros(D, dtype=dt)
         self.norm_stats = norm_stats
 
     @classmethod
@@ -229,25 +235,15 @@ class ScoringRuntime:
         x = (np.asarray(window_raw, dtype=np.float64) - self._mean) / self._std
         return np.ascontiguousarray(x, dtype=self.dtype)
 
-    def _check_shape(self, x: np.ndarray, what: str, lead: tuple):
-        want = lead + (self.config.window_len, self.config.n_signals)
-        if x.shape != want:
-            raise InputError(f"{what} shape {x.shape} does not match model {want}")
-
-    def l1_error(self, window_raw: np.ndarray, eps=None) -> float:
-        """Full inference on one raw (T_W, N) window: normalize,
-        reconstruct, and return the L1 distance in normalized units."""
-        x = np.asarray(window_raw)
-        self._check_shape(x, "window", ())
-        e = self._zero_eps if eps is None else np.ascontiguousarray(eps, dtype=self.dtype)
-        return float(_forward_l1_kernel(self.normalize(x), *self._weights, e))
-
     def l1_errors(self, windows_raw: np.ndarray, eps=None) -> np.ndarray:
-        """`l1_error` of each raw window of a (B, T_W, N) batch, with eps
-        (B, D) or None, as a (B,) float64 array. Row b equals
-        `l1_error(windows_raw[b], eps[b])` bit for bit, whatever B is."""
+        """Full inference on each raw window of a (B, T_W, N) batch, with
+        eps (B, D) or None: normalize, reconstruct, and return the L1
+        distances in normalized units as a (B,) float64 array. Row b
+        does not depend on B, bit for bit."""
         x = np.asarray(windows_raw)
-        self._check_shape(x, "window batch", x.shape[:1])
+        want = x.shape[:1] + (self.config.window_len, self.config.n_signals)
+        if x.shape != want:
+            raise InputError(f"window batch shape {x.shape} does not match model {want}")
         B, D = x.shape[0], self.config.latent_size
         if eps is None:
             e = np.zeros((B, D), dtype=self.dtype)
@@ -255,12 +251,12 @@ class ScoringRuntime:
             e = np.ascontiguousarray(eps, dtype=self.dtype)
             if e.shape != (B, D):
                 raise InputError(f"eps shape {e.shape} does not match ({B}, {D})")
-        xn = self.normalize(x)
-        if _forward_l1_kernel is _forward_l1_numpy:
-            return _forward_l1_numpy(xn, *self._weights, e)
-        # The jitted scalar loop takes one window at a time.
-        return np.array([_forward_l1_kernel(xn[b], *self._weights, e[b]) for b in range(B)],
-                        dtype=np.float64)
+        return _forward_l1_kernel(self.normalize(x), *self._weights, e)
+
+    def l1_error(self, window_raw: np.ndarray, eps=None) -> float:
+        """`l1_errors` of one raw (T_W, N) window, with eps (D,) or None."""
+        e = None if eps is None else np.asarray(eps)[None]
+        return float(self.l1_errors(np.asarray(window_raw)[None], e)[0])
 
     def warm_up(self):
         """Trigger JIT compilation outside any timed region."""

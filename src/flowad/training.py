@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -26,8 +26,8 @@ from .data import (
     WindowingConfig,
     apply_normalization,
     fit_normalization,
-    sliding_windows,
-    window_count,
+    record_windows,
+    sliding_windows,  # noqa: F401 - perfbench/launcher.py traces it here
 )
 from .errors import InputError
 from .losses import GeneratorLossParts, loss_discriminator, loss_generator
@@ -74,20 +74,9 @@ class TrainConfig:
         object.__setattr__(self, "milestones", tuple(self.milestones))
 
     def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "eta0": self.eta0,
-            "gamma": self.gamma,
-            "milestones": list(self.milestones),
-            "lam": self.lam,
-            "beta_max": self.beta_max,
-            "weight_decay": self.weight_decay,
-            "seed": self.seed,
-            "prior_capacity": self.prior_capacity,
-            "sparsity_covers_flow": self.sparsity_covers_flow,
-            "shuffle": self.shuffle,
-        }
+        d = asdict(self)
+        d["milestones"] = list(self.milestones)
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -137,12 +126,6 @@ class PriorBuffer:
         return np.stack([self._buf[i] for i in idx])
 
 
-def sample_prior(buffer: PriorBuffer, count: int, rng) -> np.ndarray:
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
-    return buffer.sample(count, rng)
-
-
 @dataclass
 class TrainResult:
     generator: GeneratorParams
@@ -180,17 +163,20 @@ def train(
         raise InputError("windowing window_len must match the model's window_len")
 
     norm_stats = fit_normalization(records)
-    rec_windows: list[np.ndarray] = []
-    for r in records:
-        if window_count(r.n_frames, windowing) == 0:
-            log.warning(
-                "record '%s' is shorter than one window (%d frames); skipped",
-                r.sample_id,
-                r.n_frames,
-            )
-            continue
-        wins = sliding_windows(apply_normalization(r, norm_stats), windowing)
-        rec_windows.append(np.stack([w.values for w in wins]))
+
+    def warn_short(r: Record):
+        log.warning(
+            "record '%s' is shorter than one window (%d frames); skipped",
+            r.sample_id,
+            r.n_frames,
+        )
+
+    rec_windows = [
+        np.ascontiguousarray(view)
+        for _, view in record_windows(
+            (apply_normalization(r, norm_stats) for r in records), windowing, warn_short
+        )
+    ]
     if not rec_windows:
         raise InputError("no record is long enough to fill a single window")
 

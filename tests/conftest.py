@@ -30,7 +30,7 @@ def trained_small():
     tcfg = TrainConfig(epochs=6, seed=3)
     result = train(records, model_cfg, tcfg, windowing)
     runtime = ScoringRuntime(model_cfg, result.generator.arrays, result.norm_stats)
-    windows = [w for r in records for w in sliding_windows(r, windowing)]
+    windows = [w.values for r in records for w in sliding_windows(r, windowing)]
     calib = calibrate(runtime, windows)
     test_records = synth_generate(
         SynthConfig(num_normal=12, num_anomalous=12, n_frames=220,

@@ -7,11 +7,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flowad.checkpoint import load_checkpoint
-from flowad.cli import main
+from flowad.checkpoint import load_checkpoint, save_checkpoint
+from flowad.cli import _frame_lines, main
 from flowad.data import WindowingConfig, load_records, manifest_path
 from flowad.detection import CalibrationStats
+from flowad.errors import InputError
 from flowad.evaluation import per_type_auroc, roc_curve, score_records
 from flowad.fastpath import ScoringRuntime
 
@@ -231,6 +234,35 @@ class TestEval:
         assert code == 2
         assert "not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage", ["truncated", "keyless"])
+    def test_corrupt_dataset_manifest_exits_2(self, env, tmp_path, capsys, damage):
+        data = tmp_path / "test.csv"
+        data.write_bytes(env["test_csv"].read_bytes())
+        text = manifest_path(env["test_csv"]).read_text()
+        if damage == "truncated":
+            text = text[: len(text) // 2]
+        else:
+            doc = json.loads(text)
+            del doc["n_signals"]
+            text = json.dumps(doc)
+        manifest_path(data).write_text(text)
+        code = main(["eval", "--config", env["cfg"], "--checkpoint", env["ckpt"],
+                     "--data", str(data), "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "manifest test.manifest.json" in capsys.readouterr().err
+
+    def test_calibration_without_mu_exits_2(self, env, tmp_path, capsys):
+        ckpt = load_checkpoint(env["ckpt"])
+        calibration = dict(ckpt.calibration)
+        del calibration["mu"]
+        bad = tmp_path / "no-mu.ckpt"
+        save_checkpoint(bad, ckpt.config, ckpt.generator, ckpt.discriminator,
+                        ckpt.norm_stats, calibration=calibration, meta=ckpt.meta)
+        code = main(["eval", "--config", env["cfg"], "--checkpoint", str(bad),
+                     "--data", str(env["test_csv"]), "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "calibration stats are malformed" in capsys.readouterr().err
+
     def test_report_byte_identical_reruns(self, env, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
@@ -326,11 +358,44 @@ class TestDetect:
         assert code == 2
         assert "stream line 2: non-finite value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("indices,got,want", [((0, 1, 3), 3, 2), ((0, 1, 1), 1, 2)],
+                             ids=["gap", "repeat"])
+    def test_frame_idx_out_of_order_exits_2(self, env, tmp_path, capsys, indices, got, want):
+        path = tmp_path / "frames.txt"
+        path.write_text("".join(f"{i},1.0,2.0,3.0,4.0\n" for i in indices))
+        code = main(["detect", "--config", env["cfg"], "--checkpoint", env["ckpt"],
+                     "--input", str(path), "--threshold", "3.0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"stream line 3: frame_idx {got} out of order (expected {want})" in err
+
     def test_uncalibrated_checkpoint_exits_2(self, env, tmp_path):
         frames = _frames_file(env, tmp_path / "frames.txt")
         assert main(["detect", "--config", env["cfg"], "--checkpoint",
                      env["ckpt_uncal"], "--input", str(frames),
                      "--threshold", "3.0"]) == 2
+
+
+_CELLS = st.one_of(
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.text(alphabet="0123456789+-.eEinfa_ ", max_size=8),
+)
+
+
+@settings(deadline=None)
+@given(st.one_of(st.text(), st.lists(_CELLS, min_size=1, max_size=6).map(",".join)))
+def test_frame_line_parses_to_a_finite_frame_or_input_error(line):
+    try:
+        frames = list(_frame_lines([line]))
+    except InputError:
+        return
+    if not line.strip():
+        assert frames == []
+        return
+    [frame] = frames
+    assert frame.dtype == np.float64 and frame.ndim == 1
+    assert np.isfinite(frame).all()
 
 
 class TestBench:

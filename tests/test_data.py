@@ -10,7 +10,6 @@ from flowad.data import (
     apply_normalization,
     downsample,
     fit_normalization,
-    invert_normalization,
     load_records,
     manifest_path,
     read_manifest,
@@ -141,8 +140,8 @@ def test_apply_normalization_standardizes_and_inverts():
     nr = apply_normalization(r, stats)
     assert np.abs(nr.frames.mean(axis=0)).max() < 1e-9
     assert np.abs(nr.frames.std(axis=0) - 1.0).max() < 1e-9
-    back = invert_normalization(nr, stats)
-    assert np.abs(back.frames - r.frames).max() < 1e-12
+    back = nr.frames * stats.std + stats.mean
+    assert np.abs(back - r.frames).max() < 1e-12
 
 
 def test_identity_stats_are_identity():
@@ -225,6 +224,25 @@ def test_manifest_contents(tmp_path):
     assert m["sample_rate_hz"] == 100.0
     assert m["num_records"] == 2
     assert m["schema_version"] == 1
+
+
+@pytest.mark.parametrize(
+    "text,match",
+    [
+        ('{"n_signals": 3, "sample_r', "not valid JSON"),
+        ("[3]", "malformed"),
+        ('{"sample_rate_hz": 100.0}', "malformed.*n_signals"),
+        ('{"n_signals": 3}', "malformed.*sample_rate_hz"),
+        ('{"n_signals": "three", "sample_rate_hz": 100.0}', "malformed"),
+    ],
+    ids=["truncated", "not-an-object", "no-n_signals", "no-rate", "non-numeric"],
+)
+def test_corrupt_manifest_is_dataset_error(tmp_path, text, match):
+    path = tmp_path / "d.csv"
+    save_records(_sample_records(), path)
+    manifest_path(path).write_text(text)
+    with pytest.raises(DatasetError, match=match):
+        load_records(path)
 
 
 def test_load_real_shape(tmp_path):

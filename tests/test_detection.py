@@ -14,9 +14,7 @@ from flowad.detection import (
     DetectorConfig,
     StreamDetector,
     calibrate,
-    anomaly_score,
     classify,
-    l1_error,
     score_from_l1,
     stream_detect,
     threshold_for_fpr,
@@ -37,26 +35,6 @@ class _StubRuntime:
         out = [self._values[(self._i + b) % len(self._values)] for b in range(len(windows))]
         self._i += len(windows)
         return np.array(out, dtype=np.float64)
-
-
-class TestL1Error:
-    def test_identical_windows(self):
-        w = np.arange(12.0).reshape(4, 3)
-        assert l1_error(w, w.copy()) == 0.0
-
-    def test_uniform_half_offset(self):
-        w = np.zeros((2, 2))
-        assert l1_error(w, w + 0.5) == pytest.approx(2.0)
-
-    def test_single_negative_entry(self):
-        w = np.zeros((2, 2))
-        wp = w.copy()
-        wp[1, 0] = -3.0
-        assert l1_error(w, wp) == pytest.approx(3.0)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(InputError, match="shape mismatch"):
-            l1_error(np.zeros((2, 2)), np.zeros((2, 3)))
 
 
 class TestCalibrationStats:
@@ -85,6 +63,18 @@ class TestCalibrationStats:
     def test_dict_round_trip_without_scores(self):
         clone = CalibrationStats.from_dict(CalibrationStats(mu=0.0, sigma=2.0).to_dict())
         assert clone.scores_sorted is None
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{"sigma": 1.0}, {"mu": 0.0}, {"mu": "zero", "sigma": 1.0},
+         {"mu": 0.0, "sigma": [1.0]}, {"mu": 0.0, "sigma": 1.0, "scores_sorted": ["a"]},
+         {"mu": float("nan"), "sigma": 1.0}, [0.0, 1.0], None],
+        ids=["no-mu", "no-sigma", "text-mu", "list-sigma", "text-scores", "nan-mu",
+             "list", "null"],
+    )
+    def test_malformed_dict_is_input_error(self, doc):
+        with pytest.raises(InputError, match="calibration stats|finite"):
+            CalibrationStats.from_dict(doc)
 
 
 class TestCalibrate:
@@ -118,9 +108,9 @@ class TestCalibrate:
         windowing = trained_small["windowing"]
         windows = []
         for rec in trained_small["train_records"][:6]:
-            windows.extend(sliding_windows(rec, windowing))
+            windows.extend(w.values for w in sliding_windows(rec, windowing))
         stats = calibrate(runtime, windows)
-        errors = np.array([runtime.l1_error(w.values) for w in windows])
+        errors = np.array([runtime.l1_error(w) for w in windows])
         assert stats.mu == errors.mean()
         assert stats.sigma == max(errors.std(), 1e-8)
 
@@ -129,7 +119,7 @@ class TestCalibrate:
         # 150 windows: four full blocks and a partial one, fed as a generator.
         runtime = trained_small["runtime"]
         windows = _train_windows(trained_small)[:150]
-        stats = calibrate(runtime, (w for w in windows), eps_mode=eps_mode, eps_seed=9)
+        stats = calibrate(runtime, (w.values for w in windows), eps_mode=eps_mode, eps_seed=9)
         rng = np.random.default_rng(9)
         d = runtime.config.latent_size
         errors = np.array([
@@ -247,17 +237,6 @@ class TestScoringAndClassify:
         stats = CalibrationStats(mu=3.0, sigma=0.5)
         scores = [score_from_l1(v, stats) for v in np.linspace(0, 10, 50)]
         assert all(b > a for a, b in zip(scores, scores[1:]))
-
-    def test_anomaly_score_requires_calibration(self, trained_small):
-        with pytest.raises(InputError, match="calibration"):
-            anomaly_score(trained_small["runtime"], np.zeros((100, 6)), None)
-
-    def test_anomaly_score_matches_pipeline(self, trained_small):
-        runtime = trained_small["runtime"]
-        calib = trained_small["calib"]
-        w = sliding_windows(trained_small["test_records"][0], trained_small["windowing"])[0]
-        direct = anomaly_score(runtime, w, calib)
-        assert direct == score_from_l1(runtime.l1_error(w.values), calib)
 
     def test_classify_strict_boundary(self):
         assert classify(2.1, 2.0) is True
@@ -395,7 +374,7 @@ class TestStreamDetector:
         windowing = trained_small["windowing"]
         windows = []
         for rec in trained_small["train_records"][:4]:
-            windows.extend(sliding_windows(rec, windowing))
+            windows.extend(w.values for w in sliding_windows(rec, windowing))
         calib = calibrate(runtime, windows, eps_mode="sample", eps_seed=1)
         frames = trained_small["test_records"][0].frames
 

@@ -17,7 +17,6 @@ from flowad.evaluation import (
     iqr_mean,
     per_type_auroc,
     roc_curve,
-    roc_summary,
     score_records,
     trapezoid_auc,
 )
@@ -126,11 +125,6 @@ class TestRocCurve:
             direct = auroc(scores, labels)
             geometric = trapezoid_auc(roc_curve(scores, labels))
             assert abs(direct - geometric) <= 1e-12
-
-    def test_roc_summary_bundles_both(self):
-        summary = roc_summary([0.1, 0.4, 0.35, 0.8], [0, 0, 1, 1])
-        assert summary.auroc == pytest.approx(0.75)
-        assert summary.points.shape[1] == 2
 
 
 class TestIqrMean:
@@ -291,7 +285,7 @@ class TestBenchLatency:
         for rec in trained_small["train_records"]:
             from flowad.data import sliding_windows
 
-            windows.extend(sliding_windows(rec, windowing))
+            windows.extend(w.values for w in sliding_windows(rec, windowing))
         report = bench_latency(
             trained_small["runtime"], trained_small["calib"], windows[:120],
             repetitions=1, warmup=10,

@@ -12,7 +12,6 @@ from flowad.training import (
     PriorBuffer,
     TrainConfig,
     beta_schedule,
-    sample_prior,
     train,
 )
 
@@ -124,8 +123,8 @@ class TestPriorBuffer:
 
     def test_bootstrap_reproducible_by_seed(self):
         buf = PriorBuffer(capacity=8, latent_size=3)
-        a = sample_prior(buf, 16, 123)
-        b = sample_prior(buf, 16, 123)
+        a = buf.sample(16, np.random.default_rng(123))
+        b = buf.sample(16, np.random.default_rng(123))
         np.testing.assert_array_equal(a, b)
 
     def test_single_vector_dominates(self):
