@@ -32,7 +32,7 @@ class Tensor:
     """Node in the computation graph; wraps a float64 ndarray."""
 
     # Keep numpy from consuming Tensor operands elementwise in mixed
-    # expressions; reflected operators must reach Tensor.__radd__ etc.
+    # expressions; ops on Tensors go through the free functions below.
     __array_ufunc__ = None
     __slots__ = ("data", "grad", "_op", "_parents", "_backward")
 
@@ -54,50 +54,8 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(op={self._op!r}, shape={self.data.shape})"
 
-    # -- operator sugar -------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division is not a primitive here")
-        return mul(self, 1.0 / float(other))
-
-    def __pow__(self, p):
-        return power(self, p)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return matmul(other, self)
-
     def __getitem__(self, idx):
         return getitem(self, idx)
-
-    def sum(self):
-        return sum_all(self)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
 
 
 def _raw(x) -> np.ndarray:
@@ -259,17 +217,6 @@ def log(x):
         _acc(x, g / x.data)
 
     return _make(out, "log", (x,), backward)
-
-
-def power(x, p: float):
-    if not isinstance(x, Tensor):
-        return np.power(x, p)
-    out = np.power(x.data, p)
-
-    def backward(g):
-        _acc(x, g * p * np.power(x.data, p - 1.0))
-
-    return _make(out, "pow", (x,), backward)
 
 
 def tanh(x):

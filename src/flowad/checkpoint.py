@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -83,7 +83,7 @@ def save_checkpoint(
 
     header = {
         "format_version": FORMAT_VERSION,
-        "model_config": config.to_dict(),
+        "model_config": asdict(config),
         "norm_stats": norm_stats.to_dict(),
         "calibration": _calibration_to_dict(calibration),
         "arrays": manifest,
@@ -128,7 +128,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise InputError("checkpoint payload digest mismatch; file is corrupted")
 
     try:
-        config = ModelConfig.from_dict(header["model_config"])
+        config = ModelConfig(**header["model_config"])
         norm_stats = NormStats.from_dict(header["norm_stats"])
         gen = GeneratorParams()
         disc = DiscriminatorParams()

@@ -14,8 +14,12 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import traceback
+import types
+import typing
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -77,60 +81,77 @@ def _section(cfg: dict, name: str) -> dict:
     return dict(sec)
 
 
-def _windowing(cfg: dict) -> WindowingConfig:
-    sec = _section(cfg, "windowing")
-    try:
-        return WindowingConfig(**sec)
-    except TypeError as e:
-        raise InputError(f"bad windowing config: {e}") from None
+def _fits(value, hint) -> bool:
+    """Whether a JSON value has the type of a field annotated `hint`: an
+    int takes no bool or float, a float also takes an int, a tuple takes
+    a list of its item type, and `X | None` also takes null."""
+    if isinstance(hint, types.UnionType):
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        return isinstance(value, list) and all(_fits(v, item) for v in value)
+    if isinstance(value, bool) and hint is not bool:
+        return False
+    return isinstance(value, (int, float) if hint is float else hint)
 
 
-def _train_config(cfg: dict, seed_override: int | None) -> TrainConfig:
-    sec = _section(cfg, "train")
-    if seed_override is not None:
-        sec["seed"] = seed_override
+def _check_types(name: str, sec: dict, hints: dict) -> dict:
+    for key, value in sec.items():
+        if key not in hints:
+            raise InputError(f"bad {name} config: unknown key '{key}'")
+        if not _fits(value, hints[key]):
+            expected = re.sub(r"<class '(\w+)'>", r"\1", str(hints[key]))
+            raise InputError(f"bad {name} config: {key} must be {expected}, got {value!r}")
+    return sec
+
+
+def _config(cls, cfg: dict, name: str, **flags):
+    """The dataclass `cls` built from config section `name`, with every
+    flag that was given (not None) replacing the file's value."""
+    sec = _section(cfg, name)
+    sec.update((k, v) for k, v in flags.items() if v is not None)
+    _check_types(name, sec, typing.get_type_hints(cls))
     try:
-        return TrainConfig.from_dict(sec)
-    except TypeError as e:
-        raise InputError(f"bad train config: {e}") from None
+        return cls(**sec)
+    except InputError as e:  # a value cls rejects
+        raise InputError(f"bad {name} config: {e}") from None
 
 
 def _model_config(cfg: dict, n_signals: int, window_len: int) -> ModelConfig:
     sec = _section(cfg, "model")
     for key, value in (("n_signals", n_signals), ("window_len", window_len)):
-        if key in sec and sec[key] is not None and int(sec[key]) != value:
+        if sec.get(key) is not None and sec[key] != value:
             raise InputError(
-                f"config model.{key}={sec[key]} conflicts with the data/windowing "
+                f"config model.{key}={sec[key]!r} conflicts with the data/windowing "
                 f"value {value}"
             )
-        sec[key] = value
-    try:
-        return ModelConfig.from_dict(sec)
-    except TypeError as e:
-        raise InputError(f"bad model config: {e}") from None
+    return _config(ModelConfig, cfg, "model", n_signals=n_signals, window_len=window_len)
 
 
 def _checkpoint_windowing(cfg: dict, ckpt) -> WindowingConfig:
     """The checkpoint's window length with a stride taken from, in order:
     explicit config, the stride recorded in the checkpoint at train
     time, then non-overlapping windows."""
-    stride = _section(cfg, "windowing").get("stride")
-    if stride is None:
-        stored = (ckpt.meta or {}).get("resolved_config", {}).get("windowing", {})
-        stride = stored.get("stride")
-    if stride is None:
-        stride = ckpt.config.window_len
-    return WindowingConfig(window_len=ckpt.config.window_len, stride=int(stride))
+    stored = (ckpt.meta or {}).get("resolved_config", {}).get("windowing", {})
+    strides = (_section(cfg, "windowing").get("stride"), stored.get("stride"))
+    stride = next((s for s in strides if s is not None), ckpt.config.window_len)
+    return _config(
+        WindowingConfig, cfg, "windowing", window_len=ckpt.config.window_len, stride=stride
+    )
+
+
+_DETECT_TYPES = {
+    "threshold": float | None,
+    "target_fpr": float | None,
+    "eps_mode": str,
+    "eps_seed": int,
+}
 
 
 def _detect_section(cfg: dict, args) -> dict:
-    sec = _section(cfg, "detect")
-    out = {
-        "threshold": sec.get("threshold"),
-        "target_fpr": sec.get("target_fpr"),
-        "eps_mode": sec.get("eps_mode", "zero"),
-        "eps_seed": int(sec.get("eps_seed", 0)),
-    }
+    sec = {k: v for k, v in _section(cfg, "detect").items() if k in _DETECT_TYPES}
+    out = {"threshold": None, "target_fpr": None, "eps_mode": "zero", "eps_seed": 0}
+    out.update(_check_types("detect", sec, _DETECT_TYPES))
     if getattr(args, "threshold", None) is not None:
         out["threshold"] = args.threshold
     if getattr(args, "target_fpr", None) is not None:
@@ -147,25 +168,12 @@ def _write_json(path: str | Path, doc: dict):
 
 def cmd_gen_data(args) -> int:
     cfg = _load_config_file(args.config)
-    sec = _section(cfg, "synth")
-    if args.seed is not None:
-        sec["seed"] = args.seed
-    if args.num_normal is not None:
-        sec["num_normal"] = args.num_normal
-    if args.num_anomalous is not None:
-        sec["num_anomalous"] = args.num_anomalous
-    sec.setdefault("num_normal", 0)
-    sec.setdefault("num_anomalous", 0)
-    if "anomaly_kinds" in sec:
-        sec["anomaly_kinds"] = tuple(sec["anomaly_kinds"])
-    if sec.get("anomaly_features") is not None:
-        sec["anomaly_features"] = tuple(sec["anomaly_features"])
-    try:
-        synth_cfg = SynthConfig(**sec)
-    except TypeError as e:
-        raise InputError(f"bad synth config: {e}") from None
+    synth_cfg = _config(
+        SynthConfig, cfg, "synth", seed=args.seed, num_normal=args.num_normal,
+        num_anomalous=args.num_anomalous,
+    )
     records = synth_generate(synth_cfg)
-    resolved = {"command": "gen-data", "synth": synth_cfg.to_dict()}
+    resolved = {"command": "gen-data", "synth": asdict(synth_cfg)}
     save_records(records, args.out, manifest_extra={"resolved_config": resolved})
     print(f"wrote {len(records)} records to {args.out}")
     return 0
@@ -173,8 +181,8 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_config_file(args.config)
-    windowing = _windowing(cfg)
-    train_cfg = _train_config(cfg, args.seed)
+    windowing = _config(WindowingConfig, cfg, "windowing")
+    train_cfg = _config(TrainConfig, cfg, "train", seed=args.seed)
     records = load_records(args.data)
     if args.freq_downsample > 1:
         records = [downsample(r, args.freq_downsample) for r in records]
@@ -192,9 +200,9 @@ def cmd_train(args) -> int:
         "data": str(args.data),
         "freq_downsample": args.freq_downsample,
         "ablation": args.ablation,
-        "model": model_cfg.to_dict(),
-        "train": train_cfg.to_dict(),
-        "windowing": {"window_len": windowing.window_len, "stride": windowing.stride},
+        "model": asdict(model_cfg),
+        "train": asdict(train_cfg),
+        "windowing": asdict(windowing),
     }
     save_checkpoint(
         args.out,
@@ -306,8 +314,8 @@ def cmd_eval(args) -> int:
         "checkpoint": str(args.checkpoint),
         "data": str(args.data),
         "eps_mode": calib.eps_mode,
-        "model": ckpt.config.to_dict(),
-        "windowing": {"window_len": windowing.window_len, "stride": windowing.stride},
+        "model": asdict(ckpt.config),
+        "windowing": asdict(windowing),
     }
     if args.roc_out:
         scores = np.array([r.record_score for r in scored])
@@ -374,7 +382,10 @@ def cmd_detect(args) -> int:
     )
     runtime = ScoringRuntime.from_checkpoint(ckpt)
     detector = StreamDetector(runtime, calib, det_cfg)
-    source = sys.stdin if args.input == "-" else open(args.input)
+    try:
+        source = sys.stdin if args.input == "-" else open(args.input)
+    except OSError as e:
+        raise InputError(f"cannot open stream input {args.input}: {e.strerror}") from None
     try:
         for frame in _frame_lines(source):
             verdict = detector.push(frame)
@@ -420,7 +431,7 @@ def cmd_bench(args) -> int:
         "checkpoint": str(args.checkpoint),
         "windows": args.windows,
         "repetitions": args.repetitions,
-        "model": cfg.to_dict(),
+        "model": asdict(cfg),
     }
     if args.out:
         _write_json(args.out, doc)

@@ -11,7 +11,7 @@ Inputs accept a single window/vector or a leading batch axis.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -52,18 +52,6 @@ class ModelConfig:
         object.__setattr__(self, "latent_size", int(lat))
         object.__setattr__(self, "made_hidden", int(made))
         object.__setattr__(self, "disc_widths", disc)
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["disc_widths"] = list(self.disc_widths)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        if d.get("disc_widths") is not None:
-            d["disc_widths"] = tuple(d["disc_widths"])
-        return cls(**d)
 
 
 # Encoder-side parameter names: the sparsity penalty covers these.

@@ -1,4 +1,4 @@
-"""AdamW with decoupled weight decay and a milestone learning-rate schedule."""
+"""AdamW with decoupled weight decay."""
 
 from __future__ import annotations
 
@@ -7,32 +7,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-
-
-@dataclass(frozen=True)
-class ScheduleConfig:
-    """Step decay: eta0 * gamma^(number of milestones at or before epoch)."""
-
-    eta0: float
-    gamma: float
-    milestones: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.eta0 <= 0:
-            raise InputError("eta0 must be positive")
-        if not 0 < self.gamma <= 1:
-            raise InputError("gamma must lie in (0, 1]")
-        ms = tuple(self.milestones)
-        if any(b <= a for a, b in zip(ms, ms[1:])):
-            raise InputError("milestones must be strictly increasing")
-        object.__setattr__(self, "milestones", ms)
-
-
-def lr_schedule(epoch: int, cfg: ScheduleConfig) -> float:
-    if epoch < 0:
-        raise InputError("epoch must be non-negative")
-    passed = sum(1 for m in cfg.milestones if m <= epoch)
-    return cfg.eta0 * cfg.gamma**passed
 
 
 @dataclass

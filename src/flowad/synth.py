@@ -15,7 +15,7 @@ configs produce bit-identical datasets.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,8 +27,8 @@ ANOMALY_KINDS = ("spike", "drift", "dropout")
 
 @dataclass(frozen=True)
 class SynthConfig:
-    num_normal: int
-    num_anomalous: int
+    num_normal: int = 0
+    num_anomalous: int = 0
     n_frames: int = 300
     n_signals: int = 12
     sample_rate_hz: float = 100.0
@@ -57,13 +57,8 @@ class SynthConfig:
                 if not 0 <= j < self.n_signals:
                     raise InputError(f"anomaly feature index {j} out of range")
         object.__setattr__(self, "anomaly_kinds", tuple(self.anomaly_kinds))
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["anomaly_kinds"] = list(self.anomaly_kinds)
         if self.anomaly_features is not None:
-            d["anomaly_features"] = list(self.anomaly_features)
-        return d
+            object.__setattr__(self, "anomaly_features", tuple(self.anomaly_features))
 
 
 def feature_bank(n_signals: int):

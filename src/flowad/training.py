@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 import time
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .model import (
     init_discriminator,
     init_generator,
 )
-from .optim import AdamWState, ScheduleConfig, adamw_init, adamw_step, lr_schedule
+from .optim import AdamWState, adamw_init, adamw_step
 
 log = logging.getLogger(__name__)
 
@@ -71,19 +71,22 @@ class TrainConfig:
             raise InputError("beta_max must be >= 0")
         if self.prior_capacity < 1:
             raise InputError("prior_capacity must be >= 1")
-        object.__setattr__(self, "milestones", tuple(self.milestones))
+        if self.eta0 <= 0:
+            raise InputError("eta0 must be positive")
+        if not 0 < self.gamma <= 1:
+            raise InputError("gamma must lie in (0, 1]")
+        ms = tuple(self.milestones)
+        if any(b <= a for a, b in zip(ms, ms[1:])):
+            raise InputError("milestones must be strictly increasing")
+        object.__setattr__(self, "milestones", ms)
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["milestones"] = list(self.milestones)
-        return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        if "milestones" in d:
-            d["milestones"] = tuple(d["milestones"])
-        return cls(**d)
+def lr_schedule(epoch: int, cfg: TrainConfig) -> float:
+    """Step decay: eta0 * gamma^(number of milestones at or before epoch)."""
+    if epoch < 0:
+        raise InputError("epoch must be non-negative")
+    passed = sum(1 for m in cfg.milestones if m <= epoch)
+    return cfg.eta0 * cfg.gamma**passed
 
 
 def beta_schedule(epoch: int, cfg: TrainConfig) -> float:
@@ -188,9 +191,6 @@ def train(
     disc = init_discriminator(model_cfg, init_rng)
     masks = build_flow_masks(model_cfg) if model_cfg.flow_layers > 0 else None
 
-    sched = ScheduleConfig(
-        eta0=train_cfg.eta0, gamma=train_cfg.gamma, milestones=train_cfg.milestones
-    )
     opt_g = adamw_init(
         gen.arrays,
         lr=train_cfg.eta0,
@@ -209,7 +209,7 @@ def train(
     epoch_log: list[dict] = []
     for epoch in range(train_cfg.epochs):
         t_start = time.perf_counter()
-        eta = lr_schedule(epoch, sched)
+        eta = lr_schedule(epoch, train_cfg)
         opt_g.lr = eta
         opt_d.lr = eta
         beta = beta_schedule(epoch, train_cfg)

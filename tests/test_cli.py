@@ -1,6 +1,7 @@
 """End-to-end CLI tests: the gen-data -> train -> calibrate -> eval ->
 detect -> bench chain, exit codes, and byte-level reproducibility."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -11,12 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowad.checkpoint import load_checkpoint, save_checkpoint
-from flowad.cli import _frame_lines, main
+from flowad.cli import _config, _frame_lines, main
 from flowad.data import WindowingConfig, load_records, manifest_path
 from flowad.detection import CalibrationStats
 from flowad.errors import InputError
 from flowad.evaluation import per_type_auroc, roc_curve, score_records
 from flowad.fastpath import ScoringRuntime
+from flowad.model import ModelConfig
+from flowad.synth import SynthConfig
+from flowad.training import TrainConfig
 
 CONFIG = {
     "windowing": {"window_len": 40, "stride": 20},
@@ -316,6 +320,13 @@ class TestDetect:
         assert proc.returncode == 0, proc.stderr
         assert len(proc.stdout.strip().splitlines()) == 4
 
+    def test_missing_input_file_exits_2(self, env, tmp_path, capsys):
+        missing = tmp_path / "absent" / "frames.txt"
+        code = main(["detect", "--checkpoint", env["ckpt"], "--input", str(missing),
+                     "--threshold", "3.0"])
+        assert code == 2
+        assert str(missing) in capsys.readouterr().err
+
     def test_threshold_conflict_exits_2(self, env, tmp_path):
         frames = _frames_file(env, tmp_path / "frames.txt")
         assert main(["detect", "--config", env["cfg"], "--checkpoint", env["ckpt"],
@@ -420,3 +431,110 @@ class TestBench:
     def test_too_few_inferences_exits_2(self, env):
         assert main(["bench", "--checkpoint", env["ckpt"], "--windows", "10",
                      "--repetitions", "1"]) == 2
+
+
+class TestConfigTypes:
+    """Each config value must have its field's JSON type; anything else is
+    exit 2 naming the key, never a traceback or a silent coercion."""
+
+    @pytest.mark.parametrize(
+        "command,doc,key",
+        [
+            pytest.param("train", {"train": {"epochs": 2.0}}, "epochs", id="train.epochs"),
+            pytest.param("train", {"train": {"batch_size": 8.0}}, "batch_size",
+                         id="train.batch_size"),
+            pytest.param("train", {"model": {"flow_layers": 1.5}}, "flow_layers",
+                         id="model.flow_layers"),
+            pytest.param("train", {"model": {"n_signals": "x"}}, "n_signals",
+                         id="model.n_signals"),
+            pytest.param("train", {"windowing": {"stride": 5.0}}, "stride",
+                         id="train-windowing.stride"),
+            pytest.param("eval", {"windowing": {"stride": "x"}}, "stride",
+                         id="eval-windowing.stride-text"),
+            pytest.param("eval", {"windowing": {"stride": "5"}}, "stride",
+                         id="eval-windowing.stride-digits"),
+            pytest.param("eval", {"detect": {"eps_seed": "seven"}}, "eps_seed",
+                         id="detect.eps_seed"),
+            pytest.param("detect", {"detect": {"threshold": "abc"}}, "threshold",
+                         id="detect.threshold"),
+            pytest.param("detect", {"detect": {"target_fpr": [1]}}, "target_fpr",
+                         id="detect.target_fpr"),
+            pytest.param("gen-data", {"synth": {"anomaly_features": 3}}, "anomaly_features",
+                         id="synth.anomaly_features"),
+            pytest.param("gen-data", {"synth": {"n_frames": 50.5}}, "n_frames",
+                         id="synth.n_frames"),
+        ],
+    )
+    def test_mistyped_value_exits_2_naming_the_key(self, env, tmp_path, capsys,
+                                                   command, doc, key):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        out = str(tmp_path / "out")
+        argv = {
+            "train": ["train", "--data", str(env["train_csv"]), "--out", out],
+            "eval": ["eval", "--checkpoint", env["ckpt"], "--data", str(env["test_csv"]),
+                     "--out", out],
+            "detect": ["detect", "--checkpoint", env["ckpt"],
+                       "--input", str(_frames_file(env, tmp_path / "frames.txt"))],
+            "gen-data": ["gen-data", "--num-normal", "2", "--out", out],
+        }[command]
+        assert main(argv + ["--config", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name,sec",
+        [
+            ("train", {"eta0": 1, "milestones": [1, 4], "shuffle": False}),
+            ("model", {"n_signals": 4, "window_len": 10, "hidden_size": None,
+                       "disc_widths": [3, 2], "alpha_const": 0}),
+            ("synth", {"anomaly_kinds": ["drift"], "anomaly_features": [0, 2],
+                       "sample_rate_hz": 50}),
+        ],
+    )
+    def test_typed_values_are_accepted(self, name, sec):
+        # an int is a number, a list fills a tuple, null fills an optional
+        built = _config(_SECTIONS[name], {name: sec}, name)
+        echoed = json.loads(json.dumps(dataclasses.asdict(built)))
+        assert all(echoed[k] == v for k, v in sec.items() if v is not None)
+
+    @pytest.mark.parametrize(
+        "name,sec,key",
+        [
+            ("train", {"epochs": True}, "epochs"),
+            ("train", {"eta0": "1e-3"}, "eta0"),
+            ("train", {"milestones": [1.0]}, "milestones"),
+            ("train", {"milestones": 2}, "milestones"),
+            ("model", {"n_signals": 4, "window_len": 10, "use_flow": 1}, "use_flow"),
+            ("synth", {"anomaly_kinds": "spike"}, "anomaly_kinds"),
+            ("windowing", {"window_len": None}, "window_len"),
+        ],
+    )
+    def test_wrong_json_type_is_rejected(self, name, sec, key):
+        with pytest.raises(InputError, match=f"bad {name} config: {key} must be"):
+            _config(_SECTIONS[name], {name: sec}, name)
+
+
+_SECTIONS = {
+    "windowing": WindowingConfig,
+    "train": TrainConfig,
+    "model": ModelConfig,
+    "synth": SynthConfig,
+}
+# a section that would otherwise lack the fields a model needs
+_BASE = {"model": {"n_signals": 4, "window_len": 10}}
+_FIELDS = [(name, f.name) for name, cls in _SECTIONS.items() for f in dataclasses.fields(cls)]
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6)
+)
+
+
+@settings(deadline=None)
+@given(st.sampled_from(_FIELDS), st.one_of(_JSON_SCALARS, st.lists(_JSON_SCALARS, max_size=4)))
+def test_config_value_builds_the_dataclass_or_raises_input_error(field, value):
+    name, key = field
+    sec = {**_BASE.get(name, {}), key: value}
+    try:
+        built = _config(_SECTIONS[name], {name: sec}, name)
+    except InputError:
+        return
+    assert isinstance(built, _SECTIONS[name])

@@ -2,6 +2,7 @@
 and checkpoint serialization."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -52,7 +53,7 @@ def test_config_defaults_double_sizes():
 
 def test_config_round_trip():
     cfg = _cfg()
-    assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+    assert ModelConfig(**json.loads(json.dumps(asdict(cfg)))) == cfg
 
 
 def test_config_validation():

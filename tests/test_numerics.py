@@ -6,7 +6,8 @@ import pytest
 
 import flowad.autodiff as ad
 from flowad.errors import InputError, NonFiniteError
-from flowad.optim import AdamWState, ScheduleConfig, adamw_init, adamw_step, lr_schedule
+from flowad.optim import AdamWState, adamw_init, adamw_step
+from flowad.training import TrainConfig, lr_schedule
 
 
 def _finite_diff_check(fn, params, step: float = 1e-5) -> float:
@@ -89,7 +90,6 @@ SMOOTH_PRIMITIVES = [
     ("log", lambda t: ad.log(t), lambda r: np.abs(r) + 0.5),
     ("tanh", lambda t: ad.tanh(t), lambda r: r),
     ("sigmoid", lambda t: ad.sigmoid(t), lambda r: r),
-    ("power3", lambda t: ad.power(t, 3.0), lambda r: np.abs(r) + 0.5),
     ("neg", lambda t: ad.neg(t), lambda r: r),
 ]
 
@@ -282,14 +282,14 @@ def test_adamw_step_counter_increments():
 
 
 def test_lr_schedule_hand_cases():
-    cfg = ScheduleConfig(eta0=1e-3, gamma=0.1, milestones=(2, 12))
+    cfg = TrainConfig(eta0=1e-3, gamma=0.1, milestones=(2, 12))
     assert lr_schedule(1, cfg) == pytest.approx(1e-3)
     assert lr_schedule(2, cfg) == pytest.approx(1e-4)
     assert lr_schedule(14, cfg) == pytest.approx(1e-5)
 
 
 def test_lr_schedule_monotone_and_piecewise_constant():
-    cfg = ScheduleConfig(eta0=0.05, gamma=0.5, milestones=(3, 7, 9))
+    cfg = TrainConfig(eta0=0.05, gamma=0.5, milestones=(3, 7, 9))
     values = [lr_schedule(e, cfg) for e in range(12)]
     assert all(a >= b for a, b in zip(values, values[1:]))
     assert values[0] == values[1] == values[2]
@@ -299,8 +299,8 @@ def test_lr_schedule_monotone_and_piecewise_constant():
 
 def test_schedule_config_validation():
     with pytest.raises(InputError):
-        ScheduleConfig(eta0=0.0, gamma=0.5, milestones=())
+        TrainConfig(eta0=0.0, gamma=0.5, milestones=())
     with pytest.raises(InputError):
-        ScheduleConfig(eta0=1e-3, gamma=1.5, milestones=())
+        TrainConfig(eta0=1e-3, gamma=1.5, milestones=())
     with pytest.raises(InputError):
-        ScheduleConfig(eta0=1e-3, gamma=0.5, milestones=(5, 5))
+        TrainConfig(eta0=1e-3, gamma=0.5, milestones=(5, 5))

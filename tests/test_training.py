@@ -1,17 +1,20 @@
 """Training-loop tests: schedules, the prior buffer, step accounting,
 loss bookkeeping, the sparsity effect, and determinism."""
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from flowad.data import Record, WindowingConfig
 from flowad.errors import InputError
 from flowad.model import ModelConfig
-from flowad.optim import ScheduleConfig, lr_schedule
 from flowad.training import (
     PriorBuffer,
     TrainConfig,
     beta_schedule,
+    lr_schedule,
     train,
 )
 
@@ -76,7 +79,7 @@ class TestTrainConfig:
 
     def test_dict_round_trip(self):
         cfg = TrainConfig(epochs=4, milestones=(1, 3), lam=0.02, shuffle=False)
-        clone = TrainConfig.from_dict(cfg.to_dict())
+        clone = TrainConfig(**json.loads(json.dumps(asdict(cfg))))
         assert clone == cfg
         assert isinstance(clone.milestones, tuple)
 
@@ -181,10 +184,9 @@ class TestTrainStepAccounting:
         cfg = _tiny_train_cfg(epochs=4, eta0=1e-2, gamma=0.5, milestones=(1, 3))
         res = train(_wave_records(6), TINY_MODEL, cfg, TINY_WINDOWING)
         assert len(res.log) == 4
-        sched = ScheduleConfig(eta0=1e-2, gamma=0.5, milestones=(1, 3))
         for epoch, entry in enumerate(res.log):
             assert entry["epoch"] == epoch
-            assert entry["eta"] == pytest.approx(lr_schedule(epoch, sched))
+            assert entry["eta"] == pytest.approx(lr_schedule(epoch, cfg))
             assert entry["beta"] == pytest.approx(beta_schedule(epoch, cfg))
             for key in ("mean_L_mse", "mean_L_l1", "mean_L_bce", "mean_L_D", "wall_time_s"):
                 assert key in entry and np.isfinite(entry[key])
