@@ -2,7 +2,8 @@
 
 Implements exactly the primitive set the window models need: matrix
 products, broadcasting elementwise arithmetic, exp/log/tanh/sigmoid/
-relu/abs, clipping, basic slicing, reshape and full-array sums.
+relu/abs, clipping, reshape, full-array sums, and one fused LSTM
+over a whole sequence with hand-written backprop through time.
 Training runs in float64 throughout; every Tensor coerces to float64.
 
 The free functions (matmul, exp, ...) dispatch on their arguments:
@@ -53,9 +54,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(op={self._op!r}, shape={self.data.shape})"
-
-    def __getitem__(self, idx):
-        return getitem(self, idx)
 
 
 def _raw(x) -> np.ndarray:
@@ -308,16 +306,82 @@ def reshape(x, shape):
     return _make(out, "reshape", (x,), backward)
 
 
-def getitem(x: Tensor, idx):
-    """Basic slicing only; slices must not select any index twice."""
-    out = x.data[idx]
+# -- fused LSTM ------------------------------------------------------------
+
+
+def lstm(x, w, b, hidden: int):
+    """Final hidden state (B, H) of an LSTM over the constant input x.
+
+    x is (B, T, n); w is (n+H, 4H) with the input rows first; b is (4H,);
+    the gate layout is [i|f|o|g]. The whole sequence is one graph node:
+    the forward pass keeps every step's activations and the backward pass
+    runs backprop through time over them, ending in one product each for
+    the input rows, the recurrent rows and the bias. Given plain ndarrays
+    it returns an ndarray and records nothing.
+    """
+    tw, tb = isinstance(w, Tensor), isinstance(b, Tensor)
+    xd, wd, bd = _raw(x), _raw(w), _raw(b)
+    B, T, n = xd.shape
+    H = hidden
+    # sigma(v) = (1 + tanh(v/2)) / 2, so one tanh covers all 4H gates; the
+    # halving of the i/f/o columns is exact (a power of two).
+    half = np.ones(4 * H)
+    half[: 3 * H] = 0.5
+    w_h = wd[n:] * half
+    xs = xd.transpose(1, 0, 2).reshape(T * B, n)
+    acts = (xs @ (wd[:n] * half) + bd * half).reshape(T, B, 4 * H)
+    hs = np.zeros((T + 1, B, H))
+    cs = np.zeros((T + 1, B, H))
+    tcs = np.empty((T, B, H))
+    for t in range(T):
+        a = acts[t]
+        a += hs[t] @ w_h
+        np.tanh(a, out=a)
+        s = a[:, : 3 * H]
+        s *= 0.5
+        s += 0.5
+        c = cs[t + 1]
+        np.multiply(a[:, H : 2 * H], cs[t], out=c)
+        c += a[:, :H] * a[:, 3 * H :]
+        np.tanh(c, out=tcs[t])
+        np.multiply(a[:, 2 * H : 3 * H], tcs[t], out=hs[t + 1])
+    out = hs[T]
+    if not (tw or tb):
+        return out
 
     def backward(g):
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        x.grad[idx] += g
+        i, f = acts[..., :H], acts[..., H : 2 * H]
+        o, u = acts[..., 2 * H : 3 * H], acts[..., 3 * H :]  # u: the g gate
+        # dA starts as each gate's local factor d(gate)/d(pre-activation)
+        # times what multiplies it; the step loop scales it by dc or dh.
+        dA = np.empty_like(acts)
+        dA[..., :H] = u * i * (1.0 - i)
+        dA[..., H : 2 * H] = cs[:-1] * f * (1.0 - f)
+        dA[..., 2 * H : 3 * H] = tcs * o * (1.0 - o)
+        dA[..., 3 * H :] = i * (1.0 - u * u)
+        dc_dh = o * (1.0 - tcs * tcs)
+        dA4 = dA.reshape(T, B, 4, H)
+        w_hT = wd[n:].T
+        dh = np.array(g, dtype=np.float64)
+        dc = np.zeros((B, H))
+        for t in reversed(range(T)):
+            dc += dh * dc_dh[t]
+            d = dA4[t]
+            d[:, :2] *= dc[:, None]
+            d[:, 2] *= dh
+            d[:, 3] *= dc
+            np.matmul(dA[t], w_hT, out=dh)
+            dc *= f[t]
+        dA2 = dA.reshape(T * B, 4 * H)
+        if tw:
+            gw = np.empty_like(wd)
+            np.matmul(xs.T, dA2, out=gw[:n])
+            np.matmul(hs[:-1].reshape(T * B, H).T, dA2, out=gw[n:])
+            _acc(w, gw)
+        if tb:
+            _acc(b, dA2.sum(axis=0))
 
-    return _make(out, "getitem", (x,), backward)
+    return _make(out, "lstm", (w, b), backward)
 
 
 # -- backward driver -----------------------------------------------------

@@ -83,14 +83,17 @@ def _section(cfg: dict, name: str) -> dict:
 
 def _fits(value, hint) -> bool:
     """Whether a JSON value has the type of a field annotated `hint`: an
-    int takes no bool or float, a float also takes an int, a tuple takes
-    a list of its item type, and `X | None` also takes null."""
+    int takes no bool or float, a float also takes an int but not the NaN
+    or Infinity that `json.loads` accepts, a tuple takes a list of its
+    item type, and `X | None` also takes null."""
     if isinstance(hint, types.UnionType):
         return any(_fits(value, h) for h in typing.get_args(hint))
     if typing.get_origin(hint) is tuple:
         item = typing.get_args(hint)[0]
         return isinstance(value, list) and all(_fits(v, item) for v in value)
     if isinstance(value, bool) and hint is not bool:
+        return False
+    if isinstance(value, float) and not math.isfinite(value):
         return False
     return isinstance(value, (int, float) if hint is float else hint)
 

@@ -161,29 +161,13 @@ def _batched_vec(z) -> tuple[object, bool]:
 def encode(window, params: Mapping, cfg: ModelConfig):
     """LSTM over T_W steps; final hidden state feeds the mu/logvar heads."""
     x, single = _batched_windows(window)
-    B, T, n = x.shape
+    _, T, n = x.shape
     if T != cfg.window_len or n != cfg.n_signals:
         raise InputError(
             f"window shape {(T, n)} does not match config "
             f"{(cfg.window_len, cfg.n_signals)}"
         )
-    H = cfg.hidden_size
-    w, b = params["lstm_w"], params["lstm_b"]
-    w_x = w[:n]
-    w_h = w[n:]
-    # Project every input frame in one product; gate layout is [i|f|o|g].
-    xp = ad.reshape(ad.matmul(x.reshape(B * T, n), w_x), (B, T, 4 * H))
-    h = np.zeros((B, H))
-    c = np.zeros((B, H))
-    for t in range(T):
-        gates = ad.add(ad.add(xp[:, t, :], ad.matmul(h, w_h)), b)
-        s = ad.sigmoid(gates[:, : 3 * H])
-        i_g = s[:, :H]
-        f_g = s[:, H : 2 * H]
-        o_g = s[:, 2 * H : 3 * H]
-        u_g = ad.tanh(gates[:, 3 * H :])
-        c = ad.add(ad.mul(f_g, c), ad.mul(i_g, u_g))
-        h = ad.mul(o_g, ad.tanh(c))
+    h = ad.lstm(x, params["lstm_w"], params["lstm_b"], cfg.hidden_size)
     mu = ad.add(ad.matmul(h, params["mu_w"]), params["mu_b"])
     logvar = ad.add(ad.matmul(h, params["logvar_w"]), params["logvar_b"])
     if single:

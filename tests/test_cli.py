@@ -443,8 +443,14 @@ class TestConfigTypes:
             pytest.param("train", {"train": {"epochs": 2.0}}, "epochs", id="train.epochs"),
             pytest.param("train", {"train": {"batch_size": 8.0}}, "batch_size",
                          id="train.batch_size"),
+            pytest.param("train", {"train": {"eta0": float("nan")}}, "eta0",
+                         id="train.eta0-nan"),
+            pytest.param("train", {"train": {"lam": float("inf")}}, "lam",
+                         id="train.lam-inf"),
             pytest.param("train", {"model": {"flow_layers": 1.5}}, "flow_layers",
                          id="model.flow_layers"),
+            pytest.param("train", {"model": {"alpha_const": float("inf")}}, "alpha_const",
+                         id="model.alpha_const-inf"),
             pytest.param("train", {"model": {"n_signals": "x"}}, "n_signals",
                          id="model.n_signals"),
             pytest.param("train", {"windowing": {"stride": 5.0}}, "stride",

@@ -11,6 +11,7 @@ import flowad.autodiff as ad
 from flowad.checkpoint import load_checkpoint, save_checkpoint
 from flowad.data import NormStats
 from flowad.errors import FlowadError, InputError
+from flowad.losses import loss_generator
 from flowad.masks import build_masks, validate_masks
 from flowad.model import (
     ModelConfig,
@@ -329,6 +330,23 @@ def test_generator_eps_zero_bit_identical():
     lp2 = generator_forward(w, params, masks, cfg)
     for field in ("mu", "logvar", "z0", "zk", "reconstruction"):
         assert np.array_equal(np.asarray(getattr(lp1, field)), np.asarray(getattr(lp2, field)))
+
+
+def test_generator_loss_tape_size_does_not_grow_with_window_len():
+    # The LSTM is one graph node however many steps it runs; a per-step
+    # tape would add nodes in proportion to window_len.
+    counts = []
+    for window_len in (10, 150):
+        cfg = ModelConfig(n_signals=3, window_len=window_len)
+        rng = np.random.default_rng(17)
+        leaves = {k: ad.Tensor(v) for k, v in init_generator(cfg, rng).arrays.items()}
+        disc = init_discriminator(cfg, rng).arrays
+        x = rng.standard_normal((4, window_len, 3))
+        eps = rng.standard_normal((4, cfg.latent_size))
+        lp = generator_forward(x, leaves, build_flow_masks(cfg), cfg, eps)
+        total, _ = loss_generator(lp, x, leaves, disc, cfg, lam=1e-4, beta=1.0)
+        counts.append(len(ad._topo(total)))
+    assert counts[0] == counts[1]
 
 
 # -- discriminator -----------------------------------------------------------

@@ -157,16 +157,97 @@ def test_matmul_shapes_and_broadcast_bias():
     assert _finite_diff_check(single, params, step=1e-5) < 1e-4
 
 
-def test_reshape_getitem_grads():
+def test_reshape_grads():
     rng = np.random.default_rng(4)
     params = {"a": rng.standard_normal((2, 6))}
+    weights = rng.standard_normal((4, 3))
 
     def f(p):
         flat = ad.reshape(p["a"], (4, 3))
-        top = flat[1:3]
-        return ad.sum_all(ad.mul(top, top))
+        return ad.sum_all(ad.mul(ad.mul(flat, flat), weights))
 
     assert _finite_diff_check(f, params, step=1e-5) < 1e-4
+
+
+# -- fused LSTM ----------------------------------------------------------------
+
+
+def _lstm_case(B, T, n, H, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((B, T, n))
+    w = rng.uniform(-0.5, 0.5, (n + H, 4 * H))
+    b = rng.uniform(-0.5, 0.5, 4 * H)
+    return x, w, b, rng.standard_normal((B, H))
+
+
+def _reference_lstm(x, p, H):
+    """The same LSTM from tape primitives, one parameter leaf per gate."""
+    h = np.zeros((x.shape[0], H))
+    c = np.zeros((x.shape[0], H))
+    for t in range(x.shape[1]):
+        pre = {
+            k: ad.add(ad.add(ad.matmul(x[:, t], p[f"wx_{k}"]), ad.matmul(h, p[f"wh_{k}"])),
+                      p[f"b_{k}"])
+            for k in "ifog"
+        }
+        i, f, o = (ad.sigmoid(pre[k]) for k in "ifo")
+        c = ad.add(ad.mul(f, c), ad.mul(i, ad.tanh(pre["g"])))
+        h = ad.mul(o, ad.tanh(c))
+    return h
+
+
+def test_lstm_fd():
+    x, w, b, r = _lstm_case(B=3, T=5, n=2, H=3, seed=6)
+
+    def f(p):
+        return ad.sum_all(ad.mul(ad.lstm(x, p["w"], p["b"], 3), r))
+
+    assert _finite_diff_check(f, {"w": w, "b": b}, step=1e-6) < 1e-4
+
+
+@pytest.mark.parametrize("B", [1, 5])
+def test_lstm_matches_primitive_reference(B):
+    n, H = 4, 3
+    x, w, b, r = _lstm_case(B=B, T=20, n=n, H=H, seed=7 + B)
+    gate = {k: slice(j * H, (j + 1) * H) for j, k in enumerate("ifog")}
+    split = {}
+    for k, cols in gate.items():
+        split[f"wx_{k}"] = w[:n, cols]
+        split[f"wh_{k}"] = w[n:, cols]
+        split[f"b_{k}"] = b[cols]
+
+    val, grads = ad.value_and_grad(
+        lambda p: ad.sum_all(ad.mul(ad.lstm(x, p["w"], p["b"], H), r)), {"w": w, "b": b}
+    )
+    ref_val, ref_grads = ad.value_and_grad(
+        lambda p: ad.sum_all(ad.mul(_reference_lstm(x, p, H), r)), split
+    )
+
+    def rel(a, ref):
+        return np.max(np.abs(a - ref)) / np.max(np.abs(ref))
+
+    assert abs(val - ref_val) <= 1e-12 * abs(ref_val)
+    for k, cols in gate.items():
+        assert rel(grads["w"][:n, cols], ref_grads[f"wx_{k}"]) < 1e-12
+        assert rel(grads["w"][n:, cols], ref_grads[f"wh_{k}"]) < 1e-12
+        assert rel(grads["b"][cols], ref_grads[f"b_{k}"]) < 1e-12
+
+
+def test_lstm_plain_mode_matches_tensor_mode_bitwise():
+    x, w, b, _ = _lstm_case(B=4, T=9, n=3, H=5, seed=8)
+    plain = ad.lstm(x, w, b, 5)
+    taped = ad.lstm(x, ad.Tensor(w), ad.Tensor(b), 5)
+    assert isinstance(plain, np.ndarray) and isinstance(taped, ad.Tensor)
+    assert np.array_equal(plain, taped.data)
+
+
+def test_lstm_nonfinite_input_names_the_op():
+    x, w, b, _ = _lstm_case(B=2, T=4, n=2, H=3, seed=9)
+    x[1, 2, 0] = np.nan
+    with pytest.raises(NonFiniteError) as exc:
+        ad.value_and_grad(lambda p: ad.sum_all(ad.lstm(x, p["w"], p["b"], 3)),
+                          {"w": w, "b": b})
+    assert exc.value.op == "lstm"
 
 
 def test_value_and_grad_untouched_leaf_gets_zero_grad():
