@@ -24,8 +24,8 @@ from .model import (
     DiscriminatorParams,
     GeneratorParams,
     ModelConfig,
-    discriminator_array_names,
-    generator_array_names,
+    discriminator_array_shapes,
+    generator_array_shapes,
 )
 
 MAGIC = b"FLOWCKPT"
@@ -60,8 +60,8 @@ def save_checkpoint(
     calibration=None,
     meta: dict | None = None,
 ) -> Path:
-    gen_names = generator_array_names(config)
-    disc_names = discriminator_array_names(config)
+    gen_names = list(generator_array_shapes(config))
+    disc_names = list(discriminator_array_shapes(config))
     if set(gen_names) != set(generator.arrays):
         raise InputError("generator arrays do not match the config's layout")
     if set(disc_names) != set(discriminator.arrays):
@@ -130,8 +130,9 @@ def load_checkpoint(path) -> Checkpoint:
     try:
         config = ModelConfig(**header["model_config"])
         norm_stats = NormStats.from_dict(header["norm_stats"])
-        gen = GeneratorParams()
-        disc = DiscriminatorParams()
+        layouts = {"generator": generator_array_shapes(config),
+                   "discriminator": discriminator_array_shapes(config)}
+        arrays = {group: {} for group in layouts}
         offset = 0
         for entry in header["arrays"]:
             shape = tuple(entry["shape"])
@@ -139,18 +140,33 @@ def load_checkpoint(path) -> Checkpoint:
             nbytes = count * 8
             arr = np.frombuffer(payload[offset : offset + nbytes], dtype="<f8").reshape(shape)
             offset += nbytes
-            target = gen.arrays if entry["group"] == "generator" else disc.arrays
-            target[entry["name"]] = np.array(arr)  # own, writable copy
+            arrays[entry["group"]][entry["name"]] = np.array(arr)  # own, writable copy
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"checkpoint header is malformed: {e!r}") from None
     if offset != len(payload):
         raise InputError("checkpoint payload size does not match its manifest")
+    # The digest covers the payload only, so check the header against it.
+    for group, want in layouts.items():
+        got = {name: arr.shape for name, arr in arrays[group].items()}
+        if got != want:
+            bad = sorted(map(str, set(got) ^ set(want))) or [k for k in want if got[k] != want[k]]
+            raise InputError(
+                f"checkpoint {group} arrays do not match its model_config: {', '.join(bad)}"
+            )
+    mean, std = norm_stats.mean, norm_stats.std
+    n = config.n_signals
+    if not (mean.shape == std.shape == (n,) and np.isfinite(mean).all()
+            and np.isfinite(std).all() and (std > 0).all()):
+        raise InputError(f"checkpoint norm_stats must hold {n} finite means and stds > 0")
+    meta = header.get("meta", {})
+    if not isinstance(meta, dict) or not isinstance(meta.get("resolved_config", {}), dict):
+        raise InputError("checkpoint meta and its resolved_config must be JSON objects")
 
     return Checkpoint(
         config=config,
-        generator=gen,
-        discriminator=disc,
+        generator=GeneratorParams(arrays=arrays["generator"]),
+        discriminator=DiscriminatorParams(arrays=arrays["discriminator"]),
         norm_stats=norm_stats,
         calibration=header.get("calibration"),
-        meta=header.get("meta") or {},
+        meta=meta,
     )

@@ -411,6 +411,10 @@ def cmd_detect(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.windows < 1:
+        raise InputError(f"--windows must be >= 1, got {args.windows}")
+    if args.warmup < 0:
+        raise InputError(f"--warmup must be >= 0, got {args.warmup}")
     ckpt = load_checkpoint(args.checkpoint)
     if ckpt.calibration is not None:
         calib = CalibrationStats.from_dict(ckpt.calibration)

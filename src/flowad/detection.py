@@ -3,7 +3,7 @@
 The anomaly score of a window is its standardized L1 reconstruction
 error, AS = (L1 - mu_normal) / sigma_normal, against statistics
 calibrated on normal windows. Classification is strict: a window is
-anomalous iff AS > theta.
+anomalous iff AS > theta, and a NaN score is anomalous too.
 
 Scoring always takes raw (unnormalized) windows; the runtime applies
 the checkpoint's normalization internally, so calibration, batch
@@ -163,8 +163,9 @@ def score_from_l1(l1: float, calib: CalibrationStats) -> float:
 
 
 def classify(score: float, theta: float) -> bool:
-    """Strict: a score exactly at the threshold is NOT anomalous."""
-    return score > theta
+    """Strict: a score exactly at the threshold is NOT anomalous. A NaN
+    score (a window the kernel overflowed on) is anomalous, never normal."""
+    return not score <= theta
 
 
 def threshold_for_fpr(calib: CalibrationStats, target_fpr: float) -> float:
@@ -203,7 +204,7 @@ class StreamDetector:
         self._count = 0
         self._draw = _eps_stream(runtime, cfg.eps_mode, cfg.eps_seed)
         self.overruns = 0
-        # pay the kernel compilation cost here, not on the first verdict
+        # pay first-call costs here, not on the first verdict
         runtime.warm_up()
 
     @property

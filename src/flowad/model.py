@@ -79,58 +79,45 @@ class LatentPass:
     reconstruction: object
 
 
-def generator_array_names(cfg: ModelConfig) -> list[str]:
-    names = list(ENCODER_PARAM_NAMES)
+def generator_array_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every generator array, in checkpoint order."""
+    n, H, D, M = cfg.n_signals, cfg.hidden_size, cfg.latent_size, cfg.made_hidden
+    shapes = {"lstm_w": (n + H, 4 * H), "lstm_b": (4 * H,), "mu_w": (H, D), "mu_b": (D,),
+              "logvar_w": (H, D), "logvar_b": (D,)}
     for k in range(cfg.flow_layers):
-        names += [f"flow{k}_enc_w", f"flow{k}_enc_b", f"flow{k}_dec_w", f"flow{k}_dec_b"]
-    names += ["dec1_w", "dec1_b", "dec2_w", "dec2_b"]
-    return names
+        shapes |= {f"flow{k}_enc_w": (D, M), f"flow{k}_enc_b": (M,),
+                   f"flow{k}_dec_w": (M, D), f"flow{k}_dec_b": (D,)}
+    TN = cfg.window_len * n
+    return shapes | {"dec1_w": (D, H), "dec1_b": (H,), "dec2_w": (H, TN), "dec2_b": (TN,)}
 
 
-def discriminator_array_names(cfg: ModelConfig) -> list[str]:
-    names = []
-    for i in range(len(cfg.disc_widths)):
-        names += [f"disc{i}_w", f"disc{i}_b"]
-    names += ["disc_out_w", "disc_out_b"]
-    return names
+def discriminator_array_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every discriminator array, in checkpoint order."""
+    shapes, prev = {}, cfg.latent_size
+    for i, w in enumerate(cfg.disc_widths):
+        shapes |= {f"disc{i}_w": (prev, w), f"disc{i}_b": (w,)}
+        prev = w
+    return shapes | {"disc_out_w": (prev, 1), "disc_out_b": (1,)}
 
 
-def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
-    bound = 1.0 / math.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
+def _init_uniform(shapes: dict, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) draws in `shapes` order; a
+    bias takes the fan-in of the weight matrix before it."""
+    arrays = {}
+    for name, shape in shapes.items():
+        if len(shape) == 2:
+            fan_in = shape[0]
+        bound = 1.0 / math.sqrt(fan_in)
+        arrays[name] = rng.uniform(-bound, bound, size=shape)
+    return arrays
 
 
 def init_generator(cfg: ModelConfig, rng: np.random.Generator) -> GeneratorParams:
-    n, H, D = cfg.n_signals, cfg.hidden_size, cfg.latent_size
-    a: dict[str, np.ndarray] = {}
-    a["lstm_w"] = _uniform(rng, (n + H, 4 * H), n + H)
-    a["lstm_b"] = _uniform(rng, (4 * H,), n + H)
-    a["mu_w"] = _uniform(rng, (H, D), H)
-    a["mu_b"] = _uniform(rng, (D,), H)
-    a["logvar_w"] = _uniform(rng, (H, D), H)
-    a["logvar_b"] = _uniform(rng, (D,), H)
-    for k in range(cfg.flow_layers):
-        a[f"flow{k}_enc_w"] = _uniform(rng, (D, cfg.made_hidden), D)
-        a[f"flow{k}_enc_b"] = _uniform(rng, (cfg.made_hidden,), D)
-        a[f"flow{k}_dec_w"] = _uniform(rng, (cfg.made_hidden, D), cfg.made_hidden)
-        a[f"flow{k}_dec_b"] = _uniform(rng, (D,), cfg.made_hidden)
-    a["dec1_w"] = _uniform(rng, (D, H), D)
-    a["dec1_b"] = _uniform(rng, (H,), D)
-    a["dec2_w"] = _uniform(rng, (H, cfg.window_len * n), H)
-    a["dec2_b"] = _uniform(rng, (cfg.window_len * n,), H)
-    return GeneratorParams(arrays=a)
+    return GeneratorParams(arrays=_init_uniform(generator_array_shapes(cfg), rng))
 
 
 def init_discriminator(cfg: ModelConfig, rng: np.random.Generator) -> DiscriminatorParams:
-    a: dict[str, np.ndarray] = {}
-    prev = cfg.latent_size
-    for i, w in enumerate(cfg.disc_widths):
-        a[f"disc{i}_w"] = _uniform(rng, (prev, w), prev)
-        a[f"disc{i}_b"] = _uniform(rng, (w,), prev)
-        prev = w
-    a["disc_out_w"] = _uniform(rng, (prev, 1), prev)
-    a["disc_out_b"] = _uniform(rng, (1,), prev)
-    return DiscriminatorParams(arrays=a)
+    return DiscriminatorParams(arrays=_init_uniform(discriminator_array_shapes(cfg), rng))
 
 
 def build_flow_masks(cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:

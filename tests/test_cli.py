@@ -76,6 +76,20 @@ def _frames_file(env, path, n_signals=4, rows=None, record_idx=0):
     return path
 
 
+# Header edits that leave the JSON well formed but contradict the payload
+# or carry values no model can use.
+_HEADER_EDITS = {
+    "flow_layers": lambda h: h["model_config"].update(flow_layers=5),
+    "hidden_size": lambda h: h["model_config"].update(hidden_size=9),  # arrays have 8 units
+    "array_renamed": lambda h: h["arrays"][0].update(name="lstm_v"),
+    "norm_mean_missing": lambda h: h["norm_stats"]["mean"].pop(),
+    "norm_std_nan": lambda h: h["norm_stats"]["std"].__setitem__(0, float("nan")),
+    "norm_std_zero": lambda h: h["norm_stats"]["std"].__setitem__(0, 0.0),
+    "meta_list": lambda h: h.update(meta=[1]),
+    "resolved_config_string": lambda h: h["meta"].update(resolved_config="x"),
+}
+
+
 class TestGenData:
     def test_csv_and_manifest_written(self, env):
         records = load_records(env["train_csv"])
@@ -237,6 +251,22 @@ class TestEval:
                      "--data", str(env["test_csv"]), "--out", str(tmp_path / "r.json")])
         assert code == 2
         assert "not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", sorted(_HEADER_EDITS))
+    def test_header_that_contradicts_its_payload_exits_2(self, env, tmp_path, capsys, edit):
+        # The payload and so its digest stay valid; only the header changes.
+        with open(env["ckpt"], "rb") as fh:
+            raw = fh.read()
+        hlen = int.from_bytes(raw[8:12], "little")
+        header = json.loads(raw[12 : 12 + hlen])
+        _HEADER_EDITS[edit](header)
+        blob = json.dumps(header).encode()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob + raw[12 + hlen :])
+        code = main(["eval", "--config", env["cfg"], "--checkpoint", str(bad),
+                     "--data", str(env["test_csv"]), "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "error: checkpoint" in capsys.readouterr().err
 
     @pytest.mark.parametrize("damage", ["truncated", "keyless"])
     def test_corrupt_dataset_manifest_exits_2(self, env, tmp_path, capsys, damage):
@@ -431,6 +461,12 @@ class TestBench:
     def test_too_few_inferences_exits_2(self, env):
         assert main(["bench", "--checkpoint", env["ckpt"], "--windows", "10",
                      "--repetitions", "1"]) == 2
+
+    @pytest.mark.parametrize("flag,value", [("--windows", "0"), ("--windows", "-1"),
+                                            ("--warmup", "-1")])
+    def test_out_of_range_count_exits_2_naming_the_flag(self, env, capsys, flag, value):
+        assert main(["bench", "--checkpoint", env["ckpt"], flag, value]) == 2
+        assert f"error: {flag} must be" in capsys.readouterr().err
 
 
 class TestConfigTypes:

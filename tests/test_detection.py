@@ -1,8 +1,9 @@
 """Detection tests: calibration statistics, anomaly scoring, strict
-classification, FPR-derived thresholds, the scoring kernels, and the
+classification, FPR-derived thresholds, the scoring kernel, and the
 streaming detector."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -148,9 +149,70 @@ def _kernel_windows(trained_small):
     return [sliding_windows(r, windowing)[1].values for r in (recs[0], recs[-1])]
 
 
+def _scalar_forward_l1(x, w_x, w_h, b_g, mu_w, mu_b, lv_w, lv_b,
+                       enc_w, enc_b, dec_w, dec_b, alpha_e,
+                       d1_w, d1_b, d2_w, d2_b, eps):
+    """L1 between the normalized window x (T, N) and its reconstruction,
+    one unit at a time: the interpreted reference for `fastpath._forward_l1`,
+    which takes the same arguments."""
+    T, n = x.shape
+    H = b_g.shape[0] // 4
+    h = np.zeros(H, dtype=x.dtype)
+    c = np.zeros(H, dtype=x.dtype)
+    for t in range(T):
+        g = b_g + np.dot(x[t], w_x) + np.dot(h, w_h)
+        for a in range(H):
+            # Stable sigmoid: never exponentiate a positive argument.
+            v = g[a]
+            if v >= 0.0:
+                i_g = 1.0 / (1.0 + math.exp(-v))
+            else:
+                ev = math.exp(v)
+                i_g = ev / (1.0 + ev)
+            v = g[H + a]
+            if v >= 0.0:
+                f_g = 1.0 / (1.0 + math.exp(-v))
+            else:
+                ev = math.exp(v)
+                f_g = ev / (1.0 + ev)
+            v = g[2 * H + a]
+            if v >= 0.0:
+                o_g = 1.0 / (1.0 + math.exp(-v))
+            else:
+                ev = math.exp(v)
+                o_g = ev / (1.0 + ev)
+            u_g = math.tanh(g[3 * H + a])
+            c[a] = f_g * c[a] + i_g * u_g
+            h[a] = o_g * math.tanh(c[a])
+    z = mu_b + np.dot(h, mu_w)
+    lv = lv_b + np.dot(h, lv_w)
+    for d in range(z.shape[0]):
+        if eps[d] != 0.0:
+            z[d] = z[d] + math.exp(0.5 * lv[d]) * eps[d]
+    for k in range(enc_w.shape[0]):
+        hid = np.dot(z, enc_w[k]) + enc_b[k]
+        for u in range(hid.shape[0]):
+            if hid[u] < 0.0:
+                hid[u] = 0.0
+        mu_k = np.dot(hid, dec_w[k]) + dec_b[k]
+        z = z * alpha_e + mu_k
+    d1 = np.dot(z, d1_w) + d1_b
+    for u in range(d1.shape[0]):
+        if d1[u] < 0.0:
+            d1[u] = 0.0
+    flat = np.dot(d1, d2_w) + d2_b
+    total = 0.0
+    idx = 0
+    for t in range(T):
+        for j in range(n):
+            total += abs(flat[idx] - x[t, j])
+            idx += 1
+    return total
+
+
 class TestScoringKernel:
     """`ScoringRuntime.l1_error` must compute the L1 error of the model
-    it was built from, whichever kernel serves it."""
+    it was built from."""
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("use_flow", [True, False])
@@ -168,16 +230,9 @@ class TestScoringKernel:
             assert runtime.l1_error(w, eps) == pytest.approx(want, rel=_KERNEL_RTOL[dtype])
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("reference", ["interpreted", "numba"])
-    def test_numpy_kernel_matches_scalar_loop(self, trained_small, dtype, reference):
-        # The scalar loop is the source numba compiles; check it both as
-        # plain Python and, where numba is installed, jitted. The numpy
-        # kernel gets the windows as one (B, T, N) batch.
-        if reference == "numba":
-            numba = pytest.importorskip("numba")
-            scalar = numba.njit(fastpath._forward_l1)
-        else:
-            scalar = fastpath._forward_l1
+    def test_numpy_kernel_matches_scalar_loop(self, trained_small, dtype):
+        # The kernel gets the windows as one (B, T, N) batch; the scalar
+        # loop scores them one at a time.
         result = trained_small["result"]
         runtime = fastpath.ScoringRuntime(trained_small["model_cfg"], result.generator.arrays,
                                           result.norm_stats, dtype=dtype)
@@ -185,8 +240,8 @@ class TestScoringKernel:
         d = runtime.config.latent_size
         eps = np.random.default_rng(5).standard_normal((len(xs), d)).astype(dtype)
         for e in (np.zeros_like(eps), eps):
-            got = fastpath._forward_l1_numpy(xs, *runtime._weights, e)
-            want = [scalar(x, *runtime._weights, eb) for x, eb in zip(xs, e)]
+            got = fastpath._forward_l1(xs, *runtime._weights, e)
+            want = [_scalar_forward_l1(x, *runtime._weights, eb) for x, eb in zip(xs, e)]
             assert got.shape == (len(xs),)
             np.testing.assert_allclose(got, want, rtol=_KERNEL_RTOL[dtype])
 
@@ -242,6 +297,7 @@ class TestScoringAndClassify:
         assert classify(2.1, 2.0) is True
         assert classify(2.0, 2.0) is False
         assert classify(-1.0, 0.0) is False
+        assert classify(float("nan"), 0.0) is True
 
 
 class TestThresholdForFpr:
@@ -335,6 +391,16 @@ class TestStreamDetector:
         max_clean = max(v.score for v in stream_detect(clean.frames, runtime, calib, cfg))
         max_spiked = max(v.score for v in stream_detect(spiked, runtime, calib, cfg))
         assert max_spiked > max_clean
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_frames_give_anomalous_nan_verdicts(self, trained_small):
+        # 1e39 is finite in float64, so the frame check passes it, but the
+        # float32 kernel overflows on it and the score comes out NaN.
+        det = self._detector(trained_small)
+        frames = np.full((trained_small["windowing"].window_len, 6), 1e39)
+        *_, verdict = (det.push(frame) for frame in frames)
+        assert np.isnan(verdict.score)
+        assert verdict.is_anomaly is True
 
     def test_eps_mode_mismatch_rejected(self, trained_small):
         cfg = DetectorConfig(

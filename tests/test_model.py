@@ -6,11 +6,14 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flowad.autodiff as ad
 from flowad.checkpoint import load_checkpoint, save_checkpoint
 from flowad.data import NormStats
 from flowad.errors import FlowadError, InputError
+from flowad.fastpath import ScoringRuntime
 from flowad.losses import loss_generator
 from flowad.masks import build_masks, validate_masks
 from flowad.model import (
@@ -475,6 +478,41 @@ def test_checkpoint_header_missing_nested_key(tmp_path):
     _rewrite_header(path, json.dumps(header).encode())
     with pytest.raises(InputError, match="malformed.*shape"):
         load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def checkpoint_file(tmp_path_factory):
+    """A valid checkpoint's bytes, and a scratch path to write damaged copies to."""
+    path, *_ = _small_checkpoint(tmp_path_factory.mktemp("ckpt"), meta={"resolved_config": {}})
+    return path.read_bytes(), path.with_name("damaged.ckpt")
+
+
+@st.composite
+def _damaged(draw, raw):
+    hlen = int.from_bytes(raw[8:12], "little")
+    if draw(st.booleans()):
+        return raw[: draw(st.integers(0, len(raw) - 1))]
+    out = bytearray(raw)
+    # Mostly in the header: any payload flip is a digest mismatch.
+    where = st.one_of(st.integers(0, 12 + hlen - 1), st.integers(0, len(raw) - 1))
+    for i in draw(st.lists(where, min_size=1, max_size=4)):
+        out[i] ^= draw(st.integers(1, 255))
+    return bytes(out)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_damaged_checkpoint_loads_or_raises_input_error(checkpoint_file, data):
+    # A checkpoint that loads must be one the scoring runtime can run.
+    raw, path = checkpoint_file
+    path.write_bytes(data.draw(_damaged(raw)))
+    try:
+        ckpt = load_checkpoint(path)
+    except InputError:
+        return
+    runtime = ScoringRuntime.from_checkpoint(ckpt)
+    runtime.l1_error(np.zeros((ckpt.config.window_len, ckpt.config.n_signals)))
 
 
 def test_checkpoint_bad_magic_and_missing(tmp_path):
