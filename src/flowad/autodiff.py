@@ -309,42 +309,60 @@ def reshape(x, shape):
 # -- fused LSTM ------------------------------------------------------------
 
 
+def lstm_steps(acts: np.ndarray, w_h: np.ndarray):
+    """The LSTM recurrence that training (`lstm`) and scoring
+    (`fastpath._forward_l1`) both run, over time-major pre-activations.
+
+    acts is (T, ..., 4H): each step's input projection plus bias, with
+    the gates [i|f|o|g]; w_h is the (H, 4H) recurrent weight. The middle
+    axes decide the products: (T, B, 4H) makes one gemm per step, and
+    (T, B, 1, 4H) one gemv per row, so a row's states do not depend on B.
+    The states keep acts' dtype, and acts is overwritten with the gate
+    activations. Returns (hs, cs, tcs): hs and cs are (T+1, ..., H) and
+    start at the zero state, and tcs (T, ..., H) is tanh(cs[1:]).
+    """
+    T, H = acts.shape[0], acts.shape[-1] // 4
+    # sigma(v) = (1 + tanh(v/2)) / 2, so one tanh covers all 4H gates; the
+    # halving of the i/f/o columns is exact (a power of two).
+    sig = acts[..., : 3 * H]
+    sig *= 0.5
+    w_h = np.concatenate([w_h[:, : 3 * H] * 0.5, w_h[:, 3 * H :]], axis=1)
+    hs = np.zeros((T + 1,) + acts.shape[1:-1] + (H,), dtype=acts.dtype)
+    cs = np.zeros_like(hs)
+    tcs = np.empty_like(hs[1:])
+    i, f, o, u = (acts[..., k * H : (k + 1) * H] for k in range(4))  # u: the g gate
+    # The loop is bound by per-call overhead: its views are made once, zipped.
+    for a, s, i_t, f_t, o_t, u_t, h, h_next, c, c_next, tc in zip(
+        acts, sig, i, f, o, u, hs[:-1], hs[1:], cs[:-1], cs[1:], tcs
+    ):
+        a += h @ w_h
+        np.tanh(a, out=a)
+        s *= 0.5
+        s += 0.5
+        np.multiply(f_t, c, out=c_next)
+        c_next += i_t * u_t
+        np.tanh(c_next, out=tc)
+        np.multiply(o_t, tc, out=h_next)
+    return hs, cs, tcs
+
+
 def lstm(x, w, b, hidden: int):
     """Final hidden state (B, H) of an LSTM over the constant input x.
 
     x is (B, T, n); w is (n+H, 4H) with the input rows first; b is (4H,);
     the gate layout is [i|f|o|g]. The whole sequence is one graph node:
-    the forward pass keeps every step's activations and the backward pass
-    runs backprop through time over them, ending in one product each for
-    the input rows, the recurrent rows and the bias. Given plain ndarrays
-    it returns an ndarray and records nothing.
+    the forward pass is `lstm_steps`, which keeps every step's activations,
+    and the backward pass runs backprop through time over them, ending in
+    one product each for the input rows, the recurrent rows and the bias.
+    Given plain ndarrays it returns an ndarray and records nothing.
     """
     tw, tb = isinstance(w, Tensor), isinstance(b, Tensor)
     xd, wd, bd = _raw(x), _raw(w), _raw(b)
     B, T, n = xd.shape
     H = hidden
-    # sigma(v) = (1 + tanh(v/2)) / 2, so one tanh covers all 4H gates; the
-    # halving of the i/f/o columns is exact (a power of two).
-    half = np.ones(4 * H)
-    half[: 3 * H] = 0.5
-    w_h = wd[n:] * half
     xs = xd.transpose(1, 0, 2).reshape(T * B, n)
-    acts = (xs @ (wd[:n] * half) + bd * half).reshape(T, B, 4 * H)
-    hs = np.zeros((T + 1, B, H))
-    cs = np.zeros((T + 1, B, H))
-    tcs = np.empty((T, B, H))
-    for t in range(T):
-        a = acts[t]
-        a += hs[t] @ w_h
-        np.tanh(a, out=a)
-        s = a[:, : 3 * H]
-        s *= 0.5
-        s += 0.5
-        c = cs[t + 1]
-        np.multiply(a[:, H : 2 * H], cs[t], out=c)
-        c += a[:, :H] * a[:, 3 * H :]
-        np.tanh(c, out=tcs[t])
-        np.multiply(a[:, 2 * H : 3 * H], tcs[t], out=hs[t + 1])
+    acts = (xs @ wd[:n] + bd).reshape(T, B, 4 * H)
+    hs, cs, tcs = lstm_steps(acts, wd[n:])
     out = hs[T]
     if not (tw or tb):
         return out

@@ -152,9 +152,8 @@ _DETECT_TYPES = {
 
 
 def _detect_section(cfg: dict, args) -> dict:
-    sec = {k: v for k, v in _section(cfg, "detect").items() if k in _DETECT_TYPES}
     out = {"threshold": None, "target_fpr": None, "eps_mode": "zero", "eps_seed": 0}
-    out.update(_check_types("detect", sec, _DETECT_TYPES))
+    out.update(_check_types("detect", _section(cfg, "detect"), _DETECT_TYPES))
     if getattr(args, "threshold", None) is not None:
         out["threshold"] = args.threshold
     if getattr(args, "target_fpr", None) is not None:
@@ -393,11 +392,20 @@ def cmd_detect(args) -> int:
         for frame in _frame_lines(source):
             verdict = detector.push(frame)
             if verdict is not None:
+                # NaN and Infinity are not JSON: such a score is written as
+                # null, and the verdict stays anomalous (`classify`).
+                score = verdict.score if math.isfinite(verdict.score) else None
+                if score is None:
+                    print(
+                        f"warning: window_start {verdict.window_start} has a non-finite "
+                        "score; flagged anomalous",
+                        file=sys.stderr,
+                    )
                 print(
                     json.dumps(
                         {
                             "window_start": verdict.window_start,
-                            "score": verdict.score,
+                            "score": score,
                             "is_anomaly": verdict.is_anomaly,
                             "inference_us": verdict.inference_us,
                         }

@@ -100,6 +100,9 @@ class DetectorConfig:
             raise InputError("threshold must be finite")
         if self.eps_mode not in ("zero", "sample"):
             raise InputError(f"unknown eps_mode '{self.eps_mode}'")
+        period = self.stride_period_s
+        if period is not None and not (np.isfinite(period) and period > 0):
+            raise InputError(f"stride period must be finite and > 0 s, got {period}")
 
 
 def _eps_stream(runtime: ScoringRuntime, eps_mode: str, eps_seed: int):
@@ -144,6 +147,12 @@ def calibrate(
     iterable, a generator included; they are scored in blocks.
     """
     errors = score_windows(runtime, windows, eps_mode, eps_seed)
+    bad = np.flatnonzero(~np.isfinite(errors))
+    if len(bad):
+        raise InputError(
+            f"calibration window {bad[0]} (counted from 0) has a non-finite L1 error; "
+            "a value may be out of the scoring dtype's range"
+        )
     if len(errors) < 2:
         raise InputError(f"calibration needs >= 2 windows, got {len(errors)}")
     mu = float(errors.mean())

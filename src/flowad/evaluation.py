@@ -105,6 +105,12 @@ def score_records(
     per_record = np.split(errors, np.cumsum([len(ws) for _, ws in kept])[:-1])
     scored: list[ScoredRecord] = []
     for (r, _), errs in zip(kept, per_record):
+        bad = np.flatnonzero(~np.isfinite(errs))
+        if len(bad):
+            raise InputError(
+                f"record '{r.sample_id}': window {bad[0]} has a non-finite L1 error; "
+                "a value may be out of the scoring dtype's range"
+            )
         scores = score_from_l1(errs, calib)
         scored.append(
             ScoredRecord(

@@ -2,10 +2,11 @@
 
 Inference runs in 32-bit by default: parameters are cast once, flow
 masks are folded into the MADE weights, and one fused numpy kernel,
-`_forward_l1`, performs normalize -> encode -> flow -> decode -> L1. It
-is vectorized over the hidden units, which keeps one window within the
-acceptance latency bound (criterion 8) without a compiler, and it sums
-the L1 in float64.
+`_forward_l1`, performs normalize -> encode -> flow -> decode -> L1. Its
+encoder runs `autodiff.lstm_steps`, the one LSTM recurrence, which the
+training tape's LSTM op also runs. It is vectorized over the hidden
+units, which keeps one window within the acceptance latency bound
+(criterion 8) without a compiler, and it sums the L1 in float64.
 
 The contract is batch-first, and `ScoringRuntime.l1_errors` is its one
 entry point: it scores a (B, T, N) batch, as calibration and evaluation
@@ -22,6 +23,7 @@ import math
 
 import numpy as np
 
+from .autodiff import lstm_steps
 from .data import NormStats
 from .errors import InputError
 from .model import ModelConfig, build_flow_masks
@@ -38,40 +40,10 @@ def _forward_l1(x, w_x, w_h, b_g, mu_w, mu_b, lv_w, lv_b,
     window, so a window's result does not depend on the batch it rides in.
     """
     lead = x.shape[:-2]
-    H = b_g.shape[0] // 4
-    H3 = 3 * H
-    dt = x.dtype
     xp = np.matmul(x, w_x)  # one (T, N) @ (N, 4H) gemm per window
     xp += b_g
-    # The step loop is bound by per-call overhead: it works in place on
-    # buffers and views made once, with constants as 0-d arrays.
-    h = np.zeros(lead + (1, H), dtype=dt)
-    c = np.zeros_like(h)
-    u = np.empty_like(h)
-    g = np.empty(lead + (1, 4 * H), dtype=dt)
-    v, g_u = g[..., :H3], g[..., H3:]
-    s = np.empty_like(v)
-    den = np.empty_like(v)
-    pos = np.empty(v.shape, dtype=bool)
-    s_i, s_f, s_o = s[..., :H], s[..., H : 2 * H], s[..., 2 * H :]
-    zero, one = np.zeros((), dtype=dt), np.ones((), dtype=dt)
-    for xp_t in np.moveaxis(xp[..., None, :], -3, 0):
-        np.matmul(h, w_h, out=g)
-        g += xp_t
-        # Stable sigmoid: never exponentiate a positive argument.
-        np.greater_equal(v, zero, out=pos)
-        np.abs(v, out=s)
-        np.negative(s, out=s)
-        np.exp(s, out=s)
-        np.add(s, one, out=den)
-        np.copyto(s, one, where=pos)
-        np.divide(s, den, out=s)
-        np.tanh(g_u, out=u)
-        u *= s_i
-        c *= s_f
-        c += u
-        np.tanh(c, out=h)
-        h *= s_o
+    # Time-major, with each row's state shaped (1, H): one gemv per row.
+    h = lstm_steps(np.moveaxis(xp[..., None, :], -3, 0), w_h)[0][-1]
     z = np.matmul(h, mu_w)
     z += mu_b
     eps = eps.reshape(lead + (1, -1))
@@ -141,7 +113,8 @@ class ScoringRuntime:
         """Full inference on each raw window of a (B, T_W, N) batch, with
         eps (B, D) or None: normalize, reconstruct, and return the L1
         distances in normalized units as a (B,) float64 array. Row b
-        does not depend on B, bit for bit."""
+        does not depend on B, bit for bit. A value beyond the scoring
+        dtype's range gives a non-finite L1, silently: callers check it."""
         x = np.asarray(windows_raw)
         want = x.shape[:1] + (self.config.window_len, self.config.n_signals)
         if x.shape != want:
@@ -153,7 +126,8 @@ class ScoringRuntime:
             e = np.ascontiguousarray(eps, dtype=self.dtype)
             if e.shape != (B, D):
                 raise InputError(f"eps shape {e.shape} does not match ({B}, {D})")
-        return _forward_l1(self.normalize(x), *self._weights, e)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _forward_l1(self.normalize(x), *self._weights, e)
 
     def l1_error(self, window_raw: np.ndarray, eps=None) -> float:
         """`l1_errors` of one raw (T_W, N) window, with eps (D,) or None."""

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from flowad.checkpoint import load_checkpoint, save_checkpoint
 from flowad.cli import _config, _frame_lines, main
-from flowad.data import WindowingConfig, load_records, manifest_path
+from flowad.data import WindowingConfig, load_records, manifest_path, save_records
 from flowad.detection import CalibrationStats
 from flowad.errors import InputError
 from flowad.evaluation import per_type_auroc, roc_curve, score_records
@@ -64,6 +64,17 @@ def env(tmp_path_factory):
         "ckpt": str(ckpt),
         "ckpt_uncal": str(ckpt_uncal),
     }
+
+
+def _overflowing_csv(src, path):
+    """src with one cell of its first normal record set to 1e39: finite in
+    float64, so the CSV loads, but out of the float32 scoring range.
+    Returns the new CSV and that record's sample_id."""
+    records = load_records(src)
+    rec = next(r for r in records if r.label == "normal")
+    rec.frames[50, 1] = 1e39
+    save_records(records, path)
+    return path, rec.sample_id
 
 
 def _frames_file(env, path, n_signals=4, rows=None, record_idx=0):
@@ -201,6 +212,17 @@ class TestCalibrate:
         assert code == 2
         assert "only normal" in capsys.readouterr().err
 
+    def test_overflowing_cell_exits_2(self, env, tmp_path, capsys):
+        csv, _ = _overflowing_csv(env["train_csv"], tmp_path / "train.csv")
+        out = tmp_path / "out.ckpt"
+        code = main(["calibrate", "--config", env["cfg"], "--checkpoint", env["ckpt_uncal"],
+                     "--data", str(csv), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        # Row 50 of the first record falls in its windows 1 and 2 (T_W=40, T_S=20).
+        assert err.startswith("error: calibration window 1 (counted from 0) has a non-finite")
+        assert "Warning" not in err and not out.exists()
+
 
 class TestEval:
     def test_report_and_roc(self, env, tmp_path):
@@ -296,6 +318,16 @@ class TestEval:
                      "--data", str(env["test_csv"]), "--out", str(tmp_path / "r.json")])
         assert code == 2
         assert "calibration stats are malformed" in capsys.readouterr().err
+
+    def test_overflowing_cell_exits_2_naming_the_record(self, env, tmp_path, capsys):
+        csv, sample_id = _overflowing_csv(env["test_csv"], tmp_path / "test.csv")
+        out = tmp_path / "report.json"
+        code = main(["eval", "--config", env["cfg"], "--checkpoint", env["ckpt"],
+                     "--data", str(csv), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: record '{sample_id}': window 1 has a non-finite L1")
+        assert "Warning" not in err and not out.exists()
 
     def test_report_byte_identical_reruns(self, env, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -416,6 +448,33 @@ class TestDetect:
                      env["ckpt_uncal"], "--input", str(frames),
                      "--threshold", "3.0"]) == 2
 
+    def test_overflowing_frames_give_null_anomalous_scores(self, env, tmp_path, capsys):
+        # 1e39 passes the frame check (finite in float64) but overflows the
+        # float32 kernel. NaN is not JSON: the score is null, and anomalous.
+        rows = np.full((60, 4), 1e39)
+        rows[:20] = load_records(env["test_csv"])[0].frames[:20, :4]
+        frames = _frames_file(env, tmp_path / "frames.txt", rows=rows)
+        assert main(["detect", "--config", env["cfg"], "--checkpoint", env["ckpt"],
+                     "--input", str(frames), "--threshold", "3.0"]) == 0
+        out, err = capsys.readouterr()
+        verdicts = [json.loads(line, parse_constant=pytest.fail) for line in out.splitlines()]
+        assert [(v["window_start"], v["score"], v["is_anomaly"]) for v in verdicts] == [
+            (0, None, True), (20, None, True)
+        ]
+        assert err.splitlines() == [
+            f"warning: window_start {s} has a non-finite score; flagged anomalous"
+            for s in (0, 20)
+        ]
+
+    @pytest.mark.parametrize("period", ["0", "-1", "inf", "nan"])
+    def test_non_positive_stride_period_exits_2(self, env, tmp_path, capsys, period):
+        frames = _frames_file(env, tmp_path / "frames.txt")
+        code = main(["detect", "--config", env["cfg"], "--checkpoint", env["ckpt"],
+                     "--input", str(frames), "--threshold", "3.0",
+                     "--stride-period-s", period])
+        assert code == 2
+        assert "stride period must be finite and > 0" in capsys.readouterr().err
+
 
 _CELLS = st.one_of(
     st.floats().map(repr),
@@ -501,6 +560,9 @@ class TestConfigTypes:
                          id="detect.threshold"),
             pytest.param("detect", {"detect": {"target_fpr": [1]}}, "target_fpr",
                          id="detect.target_fpr"),
+            *(pytest.param(command, {"detect": {"eps_mod": "sample", "threshold": 2.5}},
+                           "eps_mod", id=f"{command}-detect.unknown-key")
+              for command in ("calibrate", "eval", "detect")),
             pytest.param("gen-data", {"synth": {"anomaly_features": 3}}, "anomaly_features",
                          id="synth.anomaly_features"),
             pytest.param("gen-data", {"synth": {"n_frames": 50.5}}, "n_frames",
@@ -514,6 +576,8 @@ class TestConfigTypes:
         out = str(tmp_path / "out")
         argv = {
             "train": ["train", "--data", str(env["train_csv"]), "--out", out],
+            "calibrate": ["calibrate", "--checkpoint", env["ckpt"],
+                          "--data", str(env["train_csv"]), "--out", out],
             "eval": ["eval", "--checkpoint", env["ckpt"], "--data", str(env["test_csv"]),
                      "--out", out],
             "detect": ["detect", "--checkpoint", env["ckpt"],

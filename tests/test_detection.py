@@ -4,6 +4,7 @@ streaming detector."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,11 @@ class TestCalibrate:
     def test_needs_two_windows(self):
         with pytest.raises(InputError, match=">= 2 windows"):
             calibrate(_StubRuntime([1.0]), [np.zeros((1, 1))])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_error_names_the_window(self, bad):
+        with pytest.raises(InputError, match="calibration window 2 .*non-finite L1"):
+            calibrate(_StubRuntime([1.0, 2.0, bad, 3.0]), [np.zeros((1, 1))] * 4)
 
     def test_real_runtime_matches_manual_recomputation(self, trained_small):
         runtime = trained_small["runtime"]
@@ -392,15 +398,23 @@ class TestStreamDetector:
         max_spiked = max(v.score for v in stream_detect(spiked, runtime, calib, cfg))
         assert max_spiked > max_clean
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_frames_give_anomalous_nan_verdicts(self, trained_small):
         # 1e39 is finite in float64, so the frame check passes it, but the
-        # float32 kernel overflows on it and the score comes out NaN.
+        # float32 kernel overflows on it and the score comes out NaN,
+        # without a numpy warning.
         det = self._detector(trained_small)
         frames = np.full((trained_small["windowing"].window_len, 6), 1e39)
-        *_, verdict = (det.push(frame) for frame in frames)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            *_, verdict = (det.push(frame) for frame in frames)
         assert np.isnan(verdict.score)
         assert verdict.is_anomaly is True
+
+    @pytest.mark.parametrize("period", [0.0, -1.0, math.nan, math.inf])
+    def test_stride_period_must_be_finite_and_positive(self, trained_small, period):
+        with pytest.raises(InputError, match="stride period must be finite and > 0"):
+            DetectorConfig(theta=1.0, windowing=trained_small["windowing"],
+                           stride_period_s=period)
 
     def test_eps_mode_mismatch_rejected(self, trained_small):
         cfg = DetectorConfig(

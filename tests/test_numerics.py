@@ -241,6 +241,27 @@ def test_lstm_plain_mode_matches_tensor_mode_bitwise():
     assert np.array_equal(plain, taped.data)
 
 
+def test_lstm_steps_keeps_float32():
+    x, w, b, _ = _lstm_case(B=3, T=6, n=2, H=4, seed=10)
+    acts = (x.transpose(1, 0, 2) @ w[:2] + b).astype(np.float32)
+    states = ad.lstm_steps(acts, w[2:].astype(np.float32))
+    assert acts.dtype == np.float32
+    assert [s.dtype for s in states] == [np.float32] * 3
+    assert [s.shape for s in states] == [(7, 3, 4), (7, 3, 4), (6, 3, 4)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_lstm_steps_rows_do_not_depend_on_batch_size(dtype):
+    # Shaped (T, B, 1, 4H), every product is one gemv per row.
+    x, w, b, _ = _lstm_case(B=7, T=30, n=3, H=16, seed=11)
+    acts = (x @ w[:3] + b).astype(dtype).transpose(1, 0, 2)[:, :, None, :]
+    w_h = w[3:].astype(dtype)
+    batch = ad.lstm_steps(acts.copy(), w_h)[0][-1]
+    for row in range(7):
+        alone = ad.lstm_steps(acts[:, row : row + 1].copy(), w_h)[0][-1]
+        assert alone.tobytes() == batch[row : row + 1].tobytes(), row
+
+
 def test_lstm_nonfinite_input_names_the_op():
     x, w, b, _ = _lstm_case(B=2, T=4, n=2, H=3, seed=9)
     x[1, 2, 0] = np.nan
