@@ -336,8 +336,9 @@ def cmd_eval(args) -> int:
 
 
 def _frame_lines(source):
-    """Frames of `frame_idx,sig_0,...` lines, skipping blank ones; as in
-    load_records, frame_idx must run 0, 1, 2, ... without gaps."""
+    """Frames of `frame_idx,sig_0,...` lines. Blank lines are skipped
+    (load_records rejects them in a dataset CSV); frame_idx must run
+    0, 1, 2, ... without gaps, as in load_records."""
     expected = 0
     for line_no, line in enumerate(source, start=1):
         line = line.strip()

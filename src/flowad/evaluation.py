@@ -10,6 +10,7 @@ with the pairwise value to within floating-point error.
 from __future__ import annotations
 
 import logging
+import os
 import platform
 import time
 from dataclasses import dataclass, replace
@@ -25,7 +26,7 @@ from .data import (
 )
 from .detection import CalibrationStats, calibrate, score_from_l1, score_windows
 from .errors import InputError
-from .fastpath import ScoringRuntime
+from .fastpath import BACKEND, ScoringRuntime
 from .model import ModelConfig
 from .training import TrainConfig, TrainResult, train
 
@@ -48,6 +49,10 @@ class TypeAurocReport:
     std: float
 
 
+# The environment variables that set the BLAS library's thread count.
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 @dataclass
 class LatencyReport:
     timings_us: np.ndarray
@@ -58,7 +63,8 @@ class LatencyReport:
     window_len: int
     n_signals: int
     hardware: str
-    single_threaded: bool = True
+    backend: str
+    blas_threads: dict[str, str | None]  # each BLAS_THREAD_VARS value, None if unset
 
     def to_dict(self) -> dict:
         return {
@@ -70,7 +76,8 @@ class LatencyReport:
             "window_len": self.window_len,
             "n_signals": self.n_signals,
             "hardware": self.hardware,
-            "single_threaded": self.single_threaded,
+            "backend": self.backend,
+            "blas_threads": self.blas_threads,
         }
 
 
@@ -254,6 +261,8 @@ def bench_latency(
         window_len=runtime.config.window_len,
         n_signals=runtime.config.n_signals,
         hardware=platform.platform(),
+        backend=BACKEND,
+        blas_threads={v: os.environ.get(v) for v in BLAS_THREAD_VARS},
     )
 
 

@@ -224,6 +224,41 @@ class TestCalibrate:
         assert "Warning" not in err and not out.exists()
 
 
+def _damaged_csv(env, tmp_path, damage):
+    """env's training CSV and manifest, with one cell of row 3 damaged."""
+    lines = env["train_csv"].read_bytes().split(b"\n")
+    cells = lines[2].split(b",")
+    if damage == "non-utf8":
+        cells[0] += b"\xff"
+    else:  # one byte over the csv module's field size limit
+        cells[5] = b"1" + b"0" * 131_072
+    lines[2] = b",".join(cells)
+    path = tmp_path / "train.csv"
+    path.write_bytes(b"\n".join(lines))
+    manifest_path(path).write_text(manifest_path(env["train_csv"]).read_text())
+    return path
+
+
+@pytest.mark.parametrize("command", ["train", "calibrate", "eval"])
+@pytest.mark.parametrize(
+    "damage,message",
+    [("non-utf8", "row 3: cell is not valid UTF-8: b'normal_0000\\xff'"),
+     ("over-long", "row 3: field larger than field limit (131072)")],
+    ids=["non-utf8", "over-long"],
+)
+def test_undecodable_or_over_long_dataset_cell_exits_2_naming_the_row(
+        env, tmp_path, capsys, command, damage, message):
+    data = str(_damaged_csv(env, tmp_path, damage))
+    out = str(tmp_path / "out")
+    args = {
+        "train": ["--data", data, "--out", out],
+        "calibrate": ["--checkpoint", env["ckpt_uncal"], "--data", data, "--out", out],
+        "eval": ["--checkpoint", env["ckpt"], "--data", data, "--out", out],
+    }[command]
+    assert main([command, "--config", env["cfg"], *args]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestEval:
     def test_report_and_roc(self, env, tmp_path):
         report_path = tmp_path / "report.json"
@@ -506,7 +541,9 @@ class TestBench:
         doc = json.loads(out.read_text())
         assert doc["n_timed"] == 120
         assert doc["calibrated"] is True
-        assert doc["single_threaded"] is True
+        assert doc["backend"] == "numpy"
+        assert set(doc["blas_threads"]) == {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                            "MKL_NUM_THREADS"}
         assert doc["iqr_mean_us"] > 0
         assert doc["q1_us"] <= doc["iqr_mean_us"] <= doc["q3_us"]
 

@@ -1,8 +1,13 @@
 """Dataset IO, normalization, downsampling, and windowing contracts."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from flowad import data
 from flowad.data import (
     NormStats,
     Record,
@@ -19,6 +24,7 @@ from flowad.data import (
     normalize_values,
 )
 from flowad.errors import DatasetError, InputError
+from flowad.synth import SynthConfig, synth_generate
 
 
 def _rec(frames, sample_id="r0", **kw):
@@ -331,3 +337,217 @@ def test_load_rejects_label_flip_mid_record(tmp_path):
     )
     with pytest.raises(DatasetError):
         load_records(path)
+
+
+# -- bulk parse against the row loop ------------------------------------------
+
+
+def _outcome(path):
+    """What load_records makes of path: each record's fields, frames as
+    bytes, or the InputError's type and message. Anything else raises."""
+    try:
+        records = load_records(path)
+    except InputError as e:
+        return type(e), str(e)
+    return [
+        (r.sample_id, r.label, r.anomaly_type, r.sample_rate_hz, r.frames.shape,
+         r.frames.dtype, r.frames.tobytes())
+        for r in records
+    ]
+
+
+def _row_loop_outcome(path):
+    with mock.patch.object(data, "_load_bulk", return_value=None):
+        return _outcome(path)
+
+
+def _assert_bulk(path):
+    """path loads without the row loop, into the row loop's records."""
+    want = _row_loop_outcome(path)
+    with mock.patch.object(data, "_load_rows", side_effect=AssertionError("row loop ran")):
+        assert _outcome(path) == want
+
+
+def _valid_csv(tmp_path):
+    """Records s0, s1, s2 of 3, 4 and 2 frames, 2 signals each."""
+    rng = np.random.default_rng(0)
+    records = [
+        Record(f"s{i}", rng.standard_normal((t, 2)) * 10.0 ** rng.integers(-5, 6),
+               "anomalous" if i % 2 else "normal", "spike" if i % 2 else "", 100.0)
+        for i, t in enumerate((3, 4, 2))
+    ]
+    path = tmp_path / "d.csv"
+    save_records(records, path)
+    return path
+
+
+# Cell edits: (column, value); a column of None is a signal column.
+_CELL_EDITS = {
+    "quoted_newline_id": (0, '"s\nx"'),
+    "quoted_comma_id": (0, '"s,x"'),
+    "repeat_id": (0, "s0"),
+    "frame_idx_gap": (1, "7"),
+    "label_flip": (2, "anomalous"),
+    "type_flip": (3, "drift"),
+    **{v: (None, v) for v in ["1_0", "\uff11", "nan", "1e400", " 1.5 ", "1.5\x1c",
+                              "\u2003-2.5", "+.5e-3", "", '"1.5"', "0x10", '"2.0']},
+}
+_MUTATIONS = st.sampled_from(
+    ["flip", "truncate", "drop_column", "blank_line", "crlf", *_CELL_EDITS]
+)
+
+
+def _mutated(text, kinds, line, col, pos, byte) -> bytes:
+    lines = text.split("\n")
+    for kind in kinds:
+        k = line % len(lines)
+        if kind == "blank_line":
+            lines.insert(k, "")
+        elif kind == "drop_column":
+            lines = [",".join(c for j, c in enumerate(l.split(",")) if j != col % 6)
+                     for l in lines]
+        elif kind == "crlf":
+            lines = [l + "\r" for l in lines[:-1]] + lines[-1:]
+        elif kind in _CELL_EDITS:
+            j, value = _CELL_EDITS[kind]
+            cells = lines[k].split(",")
+            cells[(4 + col % 2 if j is None else j) % len(cells)] = value
+            lines[k] = ",".join(cells)
+    raw = bytearray("\n".join(lines).encode())
+    if "flip" in kinds and raw:
+        raw[pos % len(raw)] = byte
+    if "truncate" in kinds:
+        del raw[pos % (len(raw) + 1):]
+    return bytes(raw)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    kinds=st.lists(_MUTATIONS, min_size=1, max_size=3),
+    where=st.tuples(st.integers(0, 12), st.integers(0, 5), st.integers(0, 400),
+                    st.integers(0, 255)),
+    chunk=st.sampled_from([1, 2, 3, 4096]),
+)
+def test_bulk_parse_matches_the_row_loop_on_mutated_files(tmp_path, kinds, where, chunk):
+    """Whatever the damage, load_records gives the row loop's records or
+    the row loop's InputError, never another exception."""
+    path = _valid_csv(tmp_path)
+    path.write_bytes(_mutated(path.read_text(), kinds, *where))
+    with mock.patch.object(data, "_CHUNK_LINES", chunk):
+        assert _outcome(path) == _row_loop_outcome(path)
+
+
+@pytest.mark.parametrize("chunk", [2, 3, 7])
+def test_records_across_chunk_edges_take_the_bulk_path(tmp_path, chunk):
+    """Records of 3, 4 and 2 rows: chunks of 2 and 3 rows split records,
+    and chunks of 3 and 7 rows begin with a record's first row."""
+    path = _valid_csv(tmp_path)
+    with mock.patch.object(data, "_CHUNK_LINES", chunk):
+        _assert_bulk(path)
+
+
+def test_id_that_reappears_in_a_later_chunk_is_the_row_loop_error(tmp_path):
+    path = _write_csv(
+        tmp_path,
+        ["a,0,normal,,1.0,2.0", "a,1,normal,,1.0,2.0", "b,0,normal,,1.0,2.0",
+         "b,1,normal,,1.0,2.0", "a,0,normal,,1.0,2.0"],
+    )
+    with mock.patch.object(data, "_CHUNK_LINES", 2):
+        with pytest.raises(DatasetError, match="row 6: sample 'a' is not contiguous"):
+            load_records(path)
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("trailing", [True, False], ids=["trailing-newline", "none"])
+def test_line_endings_take_the_bulk_path(tmp_path, ending, trailing):
+    text = _valid_csv(tmp_path).read_text()
+    if not trailing:
+        text = text.rstrip("\n")
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.replace("\n", ending).encode())
+    _assert_bulk(path)
+
+
+@pytest.mark.parametrize(
+    "second,message",
+    [("a,1,normal,spike", "row 3: sample 'a' changes label or anomaly_type mid-record"),
+     ("a,1,anomalous,", "row 3: sample 'a' changes label or anomaly_type mid-record"),
+     ("b,0,weird,", "row 4: record 'b': unknown label 'weird'")],
+    ids=["type", "label", "bad-label"],
+)
+@pytest.mark.parametrize("chunk", [1, 4096])
+def test_label_and_type_errors_are_the_row_loop_errors(tmp_path, second, message, chunk):
+    path = _write_csv(tmp_path, ["a,0,normal,,1.0,2.0", second + ",1.0,2.0"])
+    with mock.patch.object(data, "_CHUNK_LINES", chunk):
+        with pytest.raises(DatasetError, match=message):
+            load_records(path)
+
+
+def test_blank_line_is_the_row_loop_error(tmp_path):
+    """np.loadtxt skips blank lines; the row loop rejects them."""
+    path = _write_csv(tmp_path, ["a,0,normal,,1.0,2.0", "", "a,1,normal,,1.0,2.0"])
+    with pytest.raises(DatasetError, match="row 3: expected 6 cells, got 0"):
+        load_records(path)
+
+
+def test_header_only_file_is_the_row_loop_error(tmp_path):
+    path = _write_csv(tmp_path, [])
+    path.write_text("sample_id,frame_idx,label,anomaly_type,sig_0,sig_1\n")
+    with pytest.raises(DatasetError, match="row 1: file contains a header but no data rows"):
+        load_records(path)
+
+
+def test_quoted_field_open_at_a_chunk_edge_is_read_as_the_row_loop_reads_it(tmp_path):
+    """The row loop joins the lines of a quoted field; a chunk edge must
+    not split them into two rows that each parse."""
+    path = _write_csv(
+        tmp_path,
+        ["a,0,normal,,1.0,2.0", 'b,0,normal,,1.0,"2.0', 'x",0,normal,,1.0,2.0'],
+    )
+    with mock.patch.object(data, "_CHUNK_LINES", 2):
+        assert _outcome(path) == _row_loop_outcome(path)
+    with pytest.raises(DatasetError, match="row 3: expected 6 cells, got 11"):
+        load_records(path)
+
+
+@pytest.mark.parametrize("cell", ["1.5\x1c", "\x1f2"])
+def test_separator_padded_cell_is_the_row_loop_error(tmp_path, cell):
+    """np.loadtxt strips \\x1c-\\x1f around a number; float() does not."""
+    path = _write_csv(tmp_path, ["a,0,normal,,1.0," + cell])
+    with pytest.raises(DatasetError, match="row 2: column 'sig_1' is not numeric"):
+        load_records(path)
+
+
+def test_underscored_and_fullwidth_digits_load_through_the_row_loop(tmp_path):
+    path = _write_csv(tmp_path, ["a,0,normal,,1_0,\uff12"])
+    [r] = load_records(path)
+    assert r.frames.tolist() == [[10.0, 2.0]]
+
+
+def test_non_utf8_bytes_are_a_dataset_error_naming_the_row(tmp_path):
+    path = _write_csv(tmp_path, ["a,0,normal,,1.0,2.0", "a,1,normal,,1.0,2.0"])
+    path.write_bytes(path.read_bytes().replace(b"a,", b"a\xff,"))
+    with pytest.raises(DatasetError, match=r"row 2: cell is not valid UTF-8: b'a\\xff'"):
+        load_records(path)
+
+
+def test_field_over_the_csv_limit_is_a_dataset_error_naming_the_row(tmp_path):
+    path = _write_csv(tmp_path, ["a,0,normal,,1.0,2.0", "b" * 131_073 + ",0,normal,,1.0,2.0"])
+    with pytest.raises(DatasetError, match=r"row 3: field larger than field limit \(131072\)"):
+        load_records(path)
+
+
+def test_benchmark_shaped_file_takes_the_bulk_path(tmp_path):
+    """A benchmark-shaped file must not fall back to the row loop, which
+    is several times slower."""
+    records = synth_generate(SynthConfig(num_normal=2, num_anomalous=2, n_frames=300,
+                                         n_signals=12, seed=3))
+    path = tmp_path / "bench.csv"
+    save_records(records, path)
+    with mock.patch.object(data, "_load_rows", side_effect=AssertionError("row loop ran")):
+        loaded = load_records(path)
+    for orig, back in zip(records, loaded, strict=True):
+        assert (back.sample_id, back.label, back.anomaly_type) == (
+            orig.sample_id, orig.label, orig.anomaly_type)
+        assert back.frames.tobytes() == orig.frames.tobytes()

@@ -279,7 +279,10 @@ class TestEvaluate:
 
 
 class TestBenchLatency:
-    def test_report_fields_and_iqr_consistency(self, trained_small):
+    def test_report_fields_and_iqr_consistency(self, trained_small, monkeypatch):
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         windowing = trained_small["windowing"]
         windows = []
         for rec in trained_small["train_records"]:
@@ -297,7 +300,9 @@ class TestBenchLatency:
         assert report.iqr_mean_us == recomputed
         assert report.window_len == 100 and report.n_signals == 6
         d = report.to_dict()
-        assert d["n_timed"] == 120 and d["single_threaded"] is True
+        assert d["n_timed"] == 120 and d["backend"] == "numpy"
+        assert d["blas_threads"] == {"OMP_NUM_THREADS": None, "OPENBLAS_NUM_THREADS": "3",
+                                     "MKL_NUM_THREADS": None}
         assert "hardware" in d
 
     def test_minimum_timed_inferences_enforced(self, trained_small):
