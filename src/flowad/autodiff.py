@@ -309,40 +309,73 @@ def reshape(x, shape):
 # -- fused LSTM ------------------------------------------------------------
 
 
+def halve_gates(w: np.ndarray) -> np.ndarray:
+    """A copy of w (..., 4H) with its i/f/o columns halved, the scaling
+    that `lstm_steps` expects of its pre-activations and recurrent weight.
+
+    sigma(v) = (1 + tanh(v/2)) / 2, so with the sigmoid gates' weights
+    and bias halved once, one tanh covers all 4H gates. Halving is exact
+    (a power of two): x @ halve_gates(w) equals halve_gates(x @ w) bit for
+    bit.
+    """
+    out = np.array(w)
+    out[..., : 3 * (out.shape[-1] // 4)] *= 0.5
+    return out
+
+
+def lstm_gates(acts: np.ndarray):
+    """Views of pre-activations acts (..., 4H), gate layout [i|f|o|g]: the
+    sigmoid gates [i|f|o] together, then i, f, o and g one by one."""
+    H = acts.shape[-1] // 4
+    return (acts[..., : 3 * H],) + tuple(acts[..., k * H : (k + 1) * H] for k in range(4))
+
+
+def lstm_step(a, s, i, f, o, u, h, c, h_next, c_next, tc, w_h, half):
+    """One LSTM step, in place, over the rows of a (..., 4H).
+
+    a holds the step's halved input pre-activations (`halve_gates`), and
+    s, i, f, o, u are its `lstm_gates` views; a is overwritten with the
+    gate activations. h, c are the incoming states (..., H); h_next,
+    c_next receive the new ones and may be h, c themselves; tc receives
+    tanh(c_next). w_h is the halved (H, 4H) recurrent weight, and half a
+    0-d array 0.5 of a's dtype (cheaper per call than a Python float).
+    Shaped (B, 1, 4H), every product is one gemv per row, so a row's
+    result does not depend on the rows beside it.
+    """
+    a += h @ w_h
+    np.tanh(a, out=a)
+    s *= half
+    s += half
+    np.multiply(f, c, out=c_next)
+    c_next += i * u
+    np.tanh(c_next, out=tc)
+    np.multiply(o, tc, out=h_next)
+
+
 def lstm_steps(acts: np.ndarray, w_h: np.ndarray):
     """The LSTM recurrence that training (`lstm`) and scoring
-    (`fastpath._forward_l1`) both run, over time-major pre-activations.
+    (`fastpath._forward_l1`) both run, over time-major pre-activations;
+    `lstm_step` is its one step, which the stream detector also runs.
 
     acts is (T, ..., 4H): each step's input projection plus bias, with
-    the gates [i|f|o|g]; w_h is the (H, 4H) recurrent weight. The middle
-    axes decide the products: (T, B, 4H) makes one gemm per step, and
-    (T, B, 1, 4H) one gemv per row, so a row's states do not depend on B.
-    The states keep acts' dtype, and acts is overwritten with the gate
-    activations. Returns (hs, cs, tcs): hs and cs are (T+1, ..., H) and
-    start at the zero state, and tcs (T, ..., H) is tanh(cs[1:]).
+    the gates [i|f|o|g] and the i/f/o columns halved (`halve_gates`);
+    w_h is the halved (H, 4H) recurrent weight. The middle axes decide
+    the products: (T, B, 4H) makes one gemm per step, and (T, B, 1, 4H)
+    one gemv per row, so a row's states do not depend on B. The states
+    keep acts' dtype, and acts is overwritten with the gate activations.
+    Returns (hs, cs, tcs): hs and cs are (T+1, ..., H) and start at the
+    zero state, and tcs (T, ..., H) is tanh(cs[1:]).
     """
     T, H = acts.shape[0], acts.shape[-1] // 4
-    # sigma(v) = (1 + tanh(v/2)) / 2, so one tanh covers all 4H gates; the
-    # halving of the i/f/o columns is exact (a power of two).
-    sig = acts[..., : 3 * H]
-    sig *= 0.5
-    w_h = np.concatenate([w_h[:, : 3 * H] * 0.5, w_h[:, 3 * H :]], axis=1)
     hs = np.zeros((T + 1,) + acts.shape[1:-1] + (H,), dtype=acts.dtype)
     cs = np.zeros_like(hs)
     tcs = np.empty_like(hs[1:])
-    i, f, o, u = (acts[..., k * H : (k + 1) * H] for k in range(4))  # u: the g gate
+    half = np.array(0.5, dtype=acts.dtype)
     # The loop is bound by per-call overhead: its views are made once, zipped.
-    for a, s, i_t, f_t, o_t, u_t, h, h_next, c, c_next, tc in zip(
-        acts, sig, i, f, o, u, hs[:-1], hs[1:], cs[:-1], cs[1:], tcs
+    for a, s, i, f, o, u, h, h_next, c, c_next, tc in zip(
+        acts, *lstm_gates(acts), hs[:-1], hs[1:], cs[:-1], cs[1:], tcs
     ):
-        a += h @ w_h
-        np.tanh(a, out=a)
-        s *= 0.5
-        s += 0.5
-        np.multiply(f_t, c, out=c_next)
-        c_next += i_t * u_t
-        np.tanh(c_next, out=tc)
-        np.multiply(o_t, tc, out=h_next)
+        lstm_step(a, s, i, f, o, u, h, c, h_next, c_next, tc, w_h, half)
     return hs, cs, tcs
 
 
@@ -361,8 +394,9 @@ def lstm(x, w, b, hidden: int):
     B, T, n = xd.shape
     H = hidden
     xs = xd.transpose(1, 0, 2).reshape(T * B, n)
-    acts = (xs @ wd[:n] + bd).reshape(T, B, 4 * H)
-    hs, cs, tcs = lstm_steps(acts, wd[n:])
+    w_half = halve_gates(wd)
+    acts = (xs @ w_half[:n] + halve_gates(bd)).reshape(T, B, 4 * H)
+    hs, cs, tcs = lstm_steps(acts, w_half[n:])
     out = hs[T]
     if not (tw or tb):
         return out

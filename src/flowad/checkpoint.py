@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import NormStats
+from .data import NormStats, require_file
 from .errors import InputError
 from .model import (
     DiscriminatorParams,
@@ -101,9 +101,7 @@ def save_checkpoint(
 
 
 def load_checkpoint(path) -> Checkpoint:
-    path = Path(path)
-    if not path.exists():
-        raise InputError(f"checkpoint not found: {path}")
+    path = require_file(path, "checkpoint")
     raw = path.read_bytes()
     if raw[:8] != MAGIC:
         raise InputError(f"not a checkpoint file: {path}")

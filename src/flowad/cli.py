@@ -16,6 +16,7 @@ import math
 import os
 import re
 import sys
+import time
 import traceback
 import types
 import typing
@@ -31,6 +32,7 @@ from .data import (
     downsample,
     load_records,
     record_windows,
+    require_file,
     save_records,
     sliding_windows,  # noqa: F401 - perfbench/launcher.py traces it here
 )
@@ -41,8 +43,9 @@ from .detection import (
     calibrate,
     threshold_for_fpr,
 )
-from .errors import FlowadError, InputError
+from .errors import FlowadError, InputError, StreamError
 from .evaluation import (
+    BLAS_THREAD_VARS,
     ablation_train_config,
     ablation_variants,
     bench_latency,
@@ -51,7 +54,7 @@ from .evaluation import (
     score_records,
     summarize,
 )
-from .fastpath import ScoringRuntime
+from .fastpath import BACKEND, ScoringRuntime
 from .model import ModelConfig
 from .synth import SynthConfig, synth_generate
 from .training import TrainConfig, train
@@ -62,11 +65,8 @@ ABLATIONS = ("none", "no-sparsity", "no-flow")
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
-    p = Path(path)
-    if not p.exists():
-        raise InputError(f"config file not found: {p}")
     try:
-        cfg = json.loads(p.read_text())
+        cfg = json.loads(require_file(path, "config file").read_text())
     except json.JSONDecodeError as e:
         raise InputError(f"config file is not valid JSON: {e}") from None
     if not isinstance(cfg, dict):
@@ -390,33 +390,78 @@ def cmd_detect(args) -> int:
     except OSError as e:
         raise InputError(f"cannot open stream input {args.input}: {e.strerror}") from None
     try:
+        metrics_fh = None if args.metrics_out is None else open(args.metrics_out, "w")
+    except OSError as e:
+        if source is not sys.stdin:
+            source.close()
+        raise InputError(f"cannot write --metrics-out {args.metrics_out}: {e.strerror}") \
+            from None
+    # With --metrics-out, every push and verdict-tail time is kept for the
+    # percentiles.
+    push_us, tail_us = [], []
+    anomalies = rejected = 0
+    try:
         for frame in _frame_lines(source):
+            t0 = time.perf_counter_ns()
             verdict = detector.push(frame)
+            if metrics_fh is not None:
+                push_us.append((time.perf_counter_ns() - t0) / 1000.0)
+                if verdict is not None:
+                    tail_us.append(verdict.inference_us)
+                    anomalies += verdict.is_anomaly
             if verdict is not None:
-                # NaN and Infinity are not JSON: such a score is written as
-                # null, and the verdict stays anomalous (`classify`).
-                score = verdict.score if math.isfinite(verdict.score) else None
-                if score is None:
-                    print(
-                        f"warning: window_start {verdict.window_start} has a non-finite "
-                        "score; flagged anomalous",
-                        file=sys.stderr,
-                    )
-                print(
-                    json.dumps(
-                        {
-                            "window_start": verdict.window_start,
-                            "score": score,
-                            "is_anomaly": verdict.is_anomaly,
-                            "inference_us": verdict.inference_us,
-                        }
-                    ),
-                    flush=True,
-                )
+                _print_verdict(verdict)
+    except (InputError, StreamError):
+        rejected = 1  # a frame that cannot be parsed or scored ends the stream
+        raise
     finally:
         if source is not sys.stdin:
             source.close()
+        if metrics_fh is not None:
+            with metrics_fh:
+                json.dump({
+                    "frames": detector.frames_seen,
+                    "verdicts": len(tail_us),
+                    "anomalies": anomalies,
+                    "rejected_frames": rejected,
+                    "overruns": detector.overruns,
+                    "tail_us": _p50_p99(tail_us),
+                    "push_us": _p50_p99(push_us),
+                    "backend": BACKEND,
+                    "blas_threads": {v: os.environ.get(v) for v in BLAS_THREAD_VARS},
+                }, metrics_fh, indent=2, sort_keys=True)
+                metrics_fh.write("\n")
     return 0
+
+
+def _print_verdict(verdict):
+    # NaN and Infinity are not JSON: such a score is written as null, and
+    # the verdict stays anomalous (`classify`).
+    score = verdict.score if math.isfinite(verdict.score) else None
+    if score is None:
+        print(
+            f"warning: window_start {verdict.window_start} has a non-finite "
+            "score; flagged anomalous",
+            file=sys.stderr,
+        )
+    print(
+        json.dumps(
+            {
+                "window_start": verdict.window_start,
+                "score": score,
+                "is_anomaly": verdict.is_anomaly,
+                "inference_us": verdict.inference_us,
+            }
+        ),
+        flush=True,
+    )
+
+
+def _p50_p99(samples_us) -> dict:
+    if not samples_us:
+        return {"p50": None, "p99": None}
+    p50, p99 = np.percentile(samples_us, [50, 99])
+    return {"p50": float(p50), "p99": float(p99)}
 
 
 def cmd_bench(args) -> int:
@@ -511,7 +556,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--target-fpr", type=float, default=None)
     p.add_argument("--stride-period-s", type=float, default=None,
-                   help="real-time budget per verdict; overruns warn")
+                   help="real-time budget per stride: its frames' steps plus the "
+                   "verdict; overruns warn")
+    p.add_argument("--metrics-out", default=None, metavar="PATH",
+                   help="on exit, write counts, push and verdict-tail latency "
+                   "percentiles, the kernel backend and the BLAS thread variables as JSON")
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("bench", help="measure single-window inference latency")

@@ -203,10 +203,23 @@ def write_manifest(csv_path, n_signals: int, sample_rate_hz: float, num_records:
     return path
 
 
+def require_file(path, what: str) -> Path:
+    """path as a Path; an InputError naming it when it is missing or is a
+    directory, which `open` would otherwise report as an OSError."""
+    path = Path(path)
+    if not path.exists():
+        raise InputError(f"{what} not found: {path}")
+    if path.is_dir():
+        raise InputError(f"{what} is a directory, not a file: {path}")
+    return path
+
+
 def read_manifest(csv_path) -> dict | None:
     path = manifest_path(csv_path)
     if not path.exists():
         return None
+    if path.is_dir():
+        raise DatasetError(f"manifest is a directory, not a file: {path}")
     try:
         return json.loads(path.read_text())
     except ValueError as e:  # undecodable bytes or malformed JSON
@@ -295,9 +308,7 @@ def load_records(csv_path, sample_rate_hz: float | None = None) -> list[Record]:
     is read again by the row loop (_load_rows), which gives the same
     records bit for bit, or words the error.
     """
-    csv_path = Path(csv_path)
-    if not csv_path.exists():
-        raise InputError(f"dataset file not found: {csv_path}")
+    csv_path = require_file(csv_path, "dataset file")
     declared_rate, declared_n = 100.0, None
     manifest = read_manifest(csv_path)
     if manifest is not None:

@@ -1,19 +1,26 @@
 """Scoring runtime for calibration, evaluation, detection, and benchmarks.
 
-Inference runs in 32-bit by default: parameters are cast once, flow
-masks are folded into the MADE weights, and one fused numpy kernel,
-`_forward_l1`, performs normalize -> encode -> flow -> decode -> L1. Its
-encoder runs `autodiff.lstm_steps`, the one LSTM recurrence, which the
-training tape's LSTM op also runs. It is vectorized over the hidden
-units, which keeps one window within the acceptance latency bound
+Inference runs in 32-bit by default: parameters are cast once, the LSTM's
+sigmoid-gate columns are halved once (`autodiff.halve_gates`), flow masks
+are folded into the MADE weights, and one fused numpy kernel,
+`_forward_l1`, performs normalize -> encode -> flow -> decode -> L1. It is
+three parts: `_project` (each frame's input projection), the recurrence
+`autodiff.lstm_steps`, which the training tape's LSTM op also runs, and
+`_tail_l1` (heads, eps, flow, decoder, L1). It is vectorized over the
+hidden units, which keeps one window within the acceptance latency bound
 (criterion 8) without a compiler, and it sums the L1 in float64.
 
 The contract is batch-first, and `ScoringRuntime.l1_errors` is its one
 entry point: it scores a (B, T, N) batch, as calibration and evaluation
-do, and `l1_error` is the same call at B=1, as the stream needs. The
-kernel takes the whole batch in one call: one input-projection gemm per
-window, then one gemv per window for every later product. So row b of a
-batch equals the single-window result bit for bit, at every B, and
+do, and `l1_error` is the same call at B=1. The kernel takes the whole
+batch in one call: one (1, N) @ (N, 4H) gemv per frame, then one gemv per
+window for every later product. So row b of a batch equals the
+single-window result bit for bit, at every B.
+
+`WindowsInFlight` is the same kernel cut at the same seams for a stream:
+it projects each frame once as it arrives, runs `autodiff.lstm_step` over
+the LSTM states of every window still in flight, and runs `_tail_l1` when
+a window completes. It makes the very products the batch kernel makes, so
 streamed and batch scoring of the same window are bit-identical.
 """
 
@@ -23,27 +30,31 @@ import math
 
 import numpy as np
 
-from .autodiff import lstm_steps
+from .autodiff import halve_gates, lstm_gates, lstm_step, lstm_steps
 from .data import NormStats
 from .errors import InputError
 from .model import ModelConfig, build_flow_masks
 
 
-def _forward_l1(x, w_x, w_h, b_g, mu_w, mu_b, lv_w, lv_b,
-                enc_w, enc_b, dec_w, dec_b, alpha_e,
-                d1_w, d1_b, d2_w, d2_b, eps):
-    """L1 between each normalized window of x (..., T, N) and its
-    reconstruction, with eps (..., D); returns the (...) errors.
+def _project(x, w_x, b_g):
+    """Gate pre-activations (..., 1, 4H) of normalized frames x (..., N):
+    one (1, N) @ (N, 4H) gemv per frame, whether the frame rides in a
+    batch of windows or arrives alone in the stream."""
+    xp = np.matmul(x[..., None, :], w_x)
+    xp += b_g
+    return xp
 
-    Every product after the input projection is `matmul(state, W)` with
-    the state shaped (..., 1, K), which numpy serves with one gemv per
-    window, so a window's result does not depend on the batch it rides in.
+
+def _tail_l1(h, x, mu_w, mu_b, lv_w, lv_b, enc_w, enc_b, dec_w, dec_b, alpha_e,
+             d1_w, d1_b, d2_w, d2_b, eps):
+    """The kernel after the recurrence: heads -> eps -> flow -> decoder ->
+    L1, from the final hidden states h (..., 1, H) of the normalized
+    windows x (..., T, N), with eps (..., D); returns the (...) errors.
+
+    Every product is `matmul(state, W)` with the state shaped (..., 1, K),
+    which numpy serves with one gemv per window.
     """
     lead = x.shape[:-2]
-    xp = np.matmul(x, w_x)  # one (T, N) @ (N, 4H) gemm per window
-    xp += b_g
-    # Time-major, with each row's state shaped (1, H): one gemv per row.
-    h = lstm_steps(np.moveaxis(xp[..., None, :], -3, 0), w_h)[0][-1]
     z = np.matmul(h, mu_w)
     z += mu_b
     eps = eps.reshape(lead + (1, -1))
@@ -60,6 +71,22 @@ def _forward_l1(x, w_x, w_h, b_g, mu_w, mu_b, lv_w, lv_b,
     flat -= x.reshape(flat.shape)
     np.abs(flat, out=flat)
     return flat.astype(np.float64).sum(axis=-1).reshape(lead)
+
+
+def _forward_l1(x, w_x, w_h, b_g, *tail):
+    """L1 between each normalized window of x (..., T, N) and its
+    reconstruction; `tail` is `_tail_l1`'s weights, then eps (..., D).
+    w_x, w_h and b_g come with their i/f/o columns halved (`halve_gates`).
+    Returns the (...) errors.
+
+    Each frame is projected alone (`_project`) and the recurrence runs
+    time-major with each window's state shaped (1, H), so every product
+    is one gemv per frame or per window: a window's result does not
+    depend on the batch it rides in.
+    """
+    xp = _project(x, w_x, b_g)
+    h = lstm_steps(np.moveaxis(xp, -3, 0), w_h)[0][-1]
+    return _tail_l1(h, x, *tail)
 
 
 BACKEND = "numpy"
@@ -91,8 +118,10 @@ class ScoringRuntime:
                 dec_w[k] = a[f"flow{k}_dec_w"] * m_dec
                 dec_b[k] = a[f"flow{k}_dec_b"]
         # The kernel's arguments between the window and eps, in order.
+        # The LSTM's sigmoid-gate columns come halved (`halve_gates`).
         self._weights = (
-            cast(a["lstm_w"][:n]), cast(a["lstm_w"][n:]), cast(a["lstm_b"]),
+            halve_gates(cast(a["lstm_w"][:n])), halve_gates(cast(a["lstm_w"][n:])),
+            halve_gates(cast(a["lstm_b"])),
             cast(a["mu_w"]), cast(a["mu_b"]), cast(a["logvar_w"]), cast(a["logvar_b"]),
             enc_w, enc_b, dec_w, dec_b, dt.type(math.exp(config.alpha_const)),
             cast(a["dec1_w"]), cast(a["dec1_b"]), cast(a["dec2_w"]), cast(a["dec2_b"]),
@@ -140,3 +169,50 @@ class ScoringRuntime:
         verdict. perfbench/launcher.py traces it as `fastpath.warm_up`."""
         dummy = np.zeros((self.config.window_len, self.config.n_signals))
         self.l1_error(dummy)
+
+
+class WindowsInFlight:
+    """The LSTM states of k overlapping windows of one frame stream, a
+    (1, H) row each in one (k, 1, H) array, all advanced one frame at a
+    time: the stream's part of `_forward_l1`, split at the same seams.
+
+    `advance` projects each frame once, as `_project` does inside a batch,
+    and runs one `lstm_step` over all k rows, one gemv per row; `l1` runs
+    `_tail_l1` on one row. So a window whose row was `restart`ed at its
+    first frame scores bit for bit what `ScoringRuntime.l1_error` gives
+    for the same frames. A value beyond the scoring dtype's range makes
+    the rows it reaches non-finite, silently, until they restart.
+    """
+
+    def __init__(self, runtime: ScoringRuntime, k: int):
+        dt, H = runtime.dtype, runtime.config.hidden_size
+        self._runtime = runtime
+        w_x, w_h, b_g, *self._tail = runtime._weights
+        self._proj = (w_x, b_g)
+        self._acts = np.empty((k, 1, 4 * H), dtype=dt)
+        self._h = np.zeros((k, 1, H), dtype=dt)
+        self._c = np.zeros_like(self._h)
+        # `lstm_step`'s operands, built once; the states update in place.
+        self._step = (self._acts, *lstm_gates(self._acts), self._h, self._c, self._h,
+                      self._c, np.empty_like(self._h), w_h, np.array(0.5, dtype=dt))
+        self._zero_eps = np.zeros((1, runtime.config.latent_size), dtype=dt)
+
+    def restart(self, row: int):
+        """Zero row `row`'s state: its window starts with the next frame."""
+        self._h[row] = 0.0
+        self._c[row] = 0.0
+
+    def advance(self, frame_raw: np.ndarray) -> np.ndarray:
+        """Advance every row by the raw frame (N,); returns it normalized."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = self._runtime.normalize(frame_raw)
+            self._acts[...] = _project(x, *self._proj)
+            lstm_step(*self._step)
+        return x
+
+    def l1(self, row: int, x: np.ndarray, eps=None) -> float:
+        """L1 error of the window whose state is row `row`, with x its
+        normalized (T, N) frames and eps (D,) or None."""
+        e = self._zero_eps if eps is None else np.asarray(eps, dtype=self._h.dtype)[None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(_tail_l1(self._h[row : row + 1], x[None], *self._tail, e)[0])

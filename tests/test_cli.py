@@ -510,6 +510,82 @@ class TestDetect:
         assert code == 2
         assert "stride period must be finite and > 0" in capsys.readouterr().err
 
+    def test_metrics_out_counts_the_run_and_leaves_stdout_alone(self, env, tmp_path, capsys):
+        frames = _frames_file(env, tmp_path / "frames.txt")
+        args = ["detect", "--config", env["cfg"], "--checkpoint", env["ckpt"],
+                "--input", str(frames), "--threshold", "3.0"]
+        assert main(args) == 0
+        plain = capsys.readouterr().out
+        metrics = tmp_path / "metrics.json"
+        assert main([*args, "--metrics-out", str(metrics), "--stride-period-s", "1e-9"]) == 0
+        out = capsys.readouterr().out
+
+        def strip(text):
+            return [{k: v for k, v in json.loads(line).items() if k != "inference_us"}
+                    for line in text.splitlines()]
+
+        assert strip(out) == strip(plain)
+        verdicts = [json.loads(line) for line in out.splitlines()]
+        doc = json.loads(metrics.read_text())
+        assert doc["frames"] == 100 and doc["verdicts"] == 4 == len(verdicts)
+        assert doc["anomalies"] == sum(v["is_anomaly"] for v in verdicts)
+        assert doc["rejected_frames"] == 0
+        assert doc["overruns"] == 4  # no stride fits in a nanosecond
+        tails = sorted(v["inference_us"] for v in verdicts)
+        assert tails[0] <= doc["tail_us"]["p50"] <= doc["tail_us"]["p99"] <= tails[-1]
+        assert 0.0 < doc["push_us"]["p50"] <= doc["push_us"]["p99"]
+        assert doc["backend"] == "numpy"
+        assert set(doc["blas_threads"]) == {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                            "MKL_NUM_THREADS"}
+
+    def test_metrics_out_counts_the_frame_that_ends_the_stream(self, env, tmp_path):
+        path = tmp_path / "frames.txt"
+        path.write_text("0,1.0,2.0,3.0,4.0\n1,1.0,2.0\n")
+        metrics = tmp_path / "metrics.json"
+        assert main(["detect", "--config", env["cfg"], "--checkpoint", env["ckpt"],
+                     "--input", str(path), "--threshold", "3.0",
+                     "--metrics-out", str(metrics)]) == 1
+        doc = json.loads(metrics.read_text())
+        assert (doc["frames"], doc["verdicts"], doc["rejected_frames"]) == (1, 0, 1)
+        assert doc["tail_us"] == {"p50": None, "p99": None}
+
+    def test_metrics_out_into_a_directory_exits_2(self, env, tmp_path, capsys):
+        frames = _frames_file(env, tmp_path / "frames.txt")
+        code = main(["detect", "--config", env["cfg"], "--checkpoint", env["ckpt"],
+                     "--input", str(frames), "--threshold", "3.0",
+                     "--metrics-out", str(tmp_path)])
+        assert code == 2
+        assert f"cannot write --metrics-out {tmp_path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["train --data", "calibrate --checkpoint", "eval --checkpoint",
+                                  "detect --config", "eval manifest"])
+def test_directory_in_place_of_a_file_exits_2_naming_it(env, tmp_path, capsys, case):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    data, ckpt, cfg = str(env["train_csv"]), env["ckpt"], env["cfg"]
+    if case == "eval manifest":
+        data = str(tmp_path / "train.csv")
+        (tmp_path / "train.csv").write_bytes(env["train_csv"].read_bytes())
+        folder = manifest_path(data)
+        folder.mkdir()
+    elif case.endswith("--data"):
+        data = str(folder)
+    elif case.endswith("--checkpoint"):
+        ckpt = str(folder)
+    else:
+        cfg = str(folder)
+    out = str(tmp_path / "out")
+    args = {
+        "train": ["--data", data, "--out", out],
+        "calibrate": ["--checkpoint", ckpt, "--data", data, "--out", out],
+        "eval": ["--checkpoint", ckpt, "--data", data, "--out", out],
+        "detect": ["--checkpoint", ckpt, "--input", str(env["train_csv"]),
+                   "--threshold", "3.0"],
+    }[case.split()[0]]
+    assert main([case.split()[0], "--config", cfg, *args]) == 2
+    assert capsys.readouterr().err.endswith(f"is a directory, not a file: {folder}\n")
+
 
 _CELLS = st.one_of(
     st.floats().map(repr),

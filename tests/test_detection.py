@@ -8,9 +8,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowad import fastpath
-from flowad.data import WindowingConfig, sliding_windows, window_count
+from flowad.data import NormStats, WindowingConfig, sliding_windows, window_count
 from flowad.detection import (
     CalibrationStats,
     DetectorConfig,
@@ -22,7 +24,7 @@ from flowad.detection import (
     threshold_for_fpr,
 )
 from flowad.errors import InputError, StreamError
-from flowad.model import build_flow_masks, generator_forward
+from flowad.model import ModelConfig, build_flow_masks, generator_forward, init_generator
 
 
 class _StubRuntime:
@@ -160,13 +162,15 @@ def _scalar_forward_l1(x, w_x, w_h, b_g, mu_w, mu_b, lv_w, lv_b,
                        d1_w, d1_b, d2_w, d2_b, eps):
     """L1 between the normalized window x (T, N) and its reconstruction,
     one unit at a time: the interpreted reference for `fastpath._forward_l1`,
-    which takes the same arguments."""
+    which takes the same arguments. As there, the i/f/o columns of w_x,
+    w_h and b_g come halved, so the sigmoid gates double them back."""
     T, n = x.shape
     H = b_g.shape[0] // 4
     h = np.zeros(H, dtype=x.dtype)
     c = np.zeros(H, dtype=x.dtype)
     for t in range(T):
         g = b_g + np.dot(x[t], w_x) + np.dot(h, w_h)
+        g[: 3 * H] *= 2.0
         for a in range(H):
             # Stable sigmoid: never exponentiate a positive argument.
             v = g[a]
@@ -472,3 +476,58 @@ class TestStreamDetector:
         for frame in trained_small["test_records"][0].frames:
             det.push(frame)
         assert det.overruns >= 1
+
+    def test_overflowing_frame_poisons_only_the_windows_that_contain_it(self, trained_small):
+        # T_W=100, T_S=40: three rows, and row 0 sits idle over frames
+        # 100-119, between windows 0 and 120. Frame 110 overflows the
+        # float32 kernel while windows 40 and 80 are in flight, and it
+        # reaches idle row 0 too; window 120 restarts that row and must
+        # score as if the frame had never been.
+        runtime, calib = trained_small["runtime"], trained_small["calib"]
+        frames = np.concatenate([r.frames for r in trained_small["test_records"][:2]])
+        frames[110] = 1e39  # its gate pre-activations sum +inf and -inf: NaN
+        det = self._detector(trained_small)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdicts = [v for v in map(det.push, frames) if v is not None]
+            for v in verdicts:
+                if v.window_start in (40, 80):
+                    assert math.isnan(v.score) and v.is_anomaly is True
+                else:
+                    window = frames[v.window_start : v.window_start + 100]
+                    assert v.score == score_from_l1(runtime.l1_error(window), calib)
+                    assert math.isfinite(v.score)
+        assert [v.window_start for v in verdicts][:4] == [0, 40, 80, 120]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    window_len=st.integers(1, 12),
+    stride_frac=st.floats(0.0, 1.0),
+    extra_strides=st.integers(0, 6),
+    eps_mode=st.sampled_from(["zero", "sample"]),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_streamed_verdicts_equal_l1_error_on_the_same_slice(
+        window_len, stride_frac, extra_strides, eps_mode, dtype, seed):
+    # Any stride from 1 to window_len: dividing it or not, and equal to it.
+    stride = 1 + round(stride_frac * (window_len - 1))
+    rng = np.random.default_rng(seed)
+    cfg = ModelConfig(n_signals=3, window_len=window_len, hidden_size=5, latent_size=4,
+                      flow_layers=2, made_hidden=6)
+    norm = NormStats(mean=rng.standard_normal(3), std=rng.uniform(0.5, 2.0, 3))
+    runtime = fastpath.ScoringRuntime(cfg, init_generator(cfg, rng).arrays, norm, dtype=dtype)
+    calib = CalibrationStats(mu=rng.standard_normal(), sigma=rng.uniform(0.5, 2.0),
+                             eps_mode=eps_mode)
+    det_cfg = DetectorConfig(theta=0.0, windowing=WindowingConfig(window_len, stride),
+                             eps_mode=eps_mode, eps_seed=seed)
+    frames = rng.standard_normal((window_len + extra_strides * stride + stride - 1, 3)) * 3.0
+    eps_rng = np.random.default_rng(seed)
+    verdicts = list(stream_detect(frames, runtime, calib, det_cfg))
+    assert len(verdicts) == extra_strides + 1
+    for j, v in enumerate(verdicts):
+        assert v.window_start == j * stride
+        eps = eps_rng.standard_normal(4) if eps_mode == "sample" else None
+        l1 = runtime.l1_error(frames[v.window_start : v.window_start + window_len], eps)
+        assert v.score == score_from_l1(l1, calib)  # bitwise

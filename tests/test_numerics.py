@@ -243,6 +243,7 @@ def test_lstm_plain_mode_matches_tensor_mode_bitwise():
 
 def test_lstm_steps_keeps_float32():
     x, w, b, _ = _lstm_case(B=3, T=6, n=2, H=4, seed=10)
+    w, b = ad.halve_gates(w), ad.halve_gates(b)
     acts = (x.transpose(1, 0, 2) @ w[:2] + b).astype(np.float32)
     states = ad.lstm_steps(acts, w[2:].astype(np.float32))
     assert acts.dtype == np.float32
@@ -254,12 +255,25 @@ def test_lstm_steps_keeps_float32():
 def test_lstm_steps_rows_do_not_depend_on_batch_size(dtype):
     # Shaped (T, B, 1, 4H), every product is one gemv per row.
     x, w, b, _ = _lstm_case(B=7, T=30, n=3, H=16, seed=11)
+    w, b = ad.halve_gates(w), ad.halve_gates(b)
     acts = (x @ w[:3] + b).astype(dtype).transpose(1, 0, 2)[:, :, None, :]
     w_h = w[3:].astype(dtype)
     batch = ad.lstm_steps(acts.copy(), w_h)[0][-1]
     for row in range(7):
         alone = ad.lstm_steps(acts[:, row : row + 1].copy(), w_h)[0][-1]
         assert alone.tobytes() == batch[row : row + 1].tobytes(), row
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_halve_gates_commutes_with_the_projection_bitwise(dtype):
+    # Halving is exact, so pre-halved weights give the halved products.
+    x, w, b, _ = _lstm_case(B=5, T=40, n=3, H=6, seed=12)
+    xs, w, b = x.reshape(-1, 3).astype(dtype), w[:3].astype(dtype), b.astype(dtype)
+    halved = ad.halve_gates(w)
+    assert halved.dtype == dtype and not np.shares_memory(halved, w)
+    assert np.array_equal(halved[:, 18:], w[:, 18:])
+    got = xs @ halved + ad.halve_gates(b)
+    assert got.tobytes() == ad.halve_gates(xs @ w + b).tobytes()
 
 
 def test_lstm_nonfinite_input_names_the_op():
