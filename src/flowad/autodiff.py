@@ -1,7 +1,7 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
 Implements exactly the primitive set the window models need: matrix
-products, broadcasting elementwise arithmetic, exp/log/tanh/sigmoid/
+products, broadcasting elementwise arithmetic, exp/log/sigmoid/
 relu/abs, clipping, reshape, full-array sums, and one fused LSTM
 over a whole sequence with hand-written backprop through time.
 Training runs in float64 throughout; every Tensor coerces to float64.
@@ -215,17 +215,6 @@ def log(x):
         _acc(x, g / x.data)
 
     return _make(out, "log", (x,), backward)
-
-
-def tanh(x):
-    if not isinstance(x, Tensor):
-        return np.tanh(x)
-    out = np.tanh(x.data)
-
-    def backward(g):
-        _acc(x, g * (1.0 - out * out))
-
-    return _make(out, "tanh", (x,), backward)
 
 
 def _sigmoid_stable(x: np.ndarray) -> np.ndarray:

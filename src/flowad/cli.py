@@ -30,6 +30,7 @@ from .data import (
     LABEL_NORMAL,
     WindowingConfig,
     downsample,
+    frame_blocks,
     load_records,
     record_windows,
     require_file,
@@ -335,33 +336,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _frame_lines(source):
-    """Frames of `frame_idx,sig_0,...` lines. Blank lines are skipped
-    (load_records rejects them in a dataset CSV); frame_idx must run
-    0, 1, 2, ... without gaps, as in load_records."""
-    expected = 0
-    for line_no, line in enumerate(source, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        cells = line.split(",")
-        try:
-            idx = int(cells[0])
-            values = [float(c) for c in cells[1:]]
-        except ValueError:
-            raise InputError(
-                f"stream line {line_no}: expected `frame_idx,sig_0,...`, got {line!r}"
-            ) from None
-        if not all(map(math.isfinite, values)):
-            raise InputError(f"stream line {line_no}: non-finite value in {line!r}")
-        if idx != expected:
-            raise InputError(
-                f"stream line {line_no}: frame_idx {idx} out of order (expected {expected})"
-            )
-        expected += 1
-        yield np.array(values, dtype=np.float64)
-
-
 def cmd_detect(args) -> int:
     cfg = _load_config_file(args.config)
     ckpt = load_checkpoint(args.checkpoint)
@@ -386,41 +360,43 @@ def cmd_detect(args) -> int:
     runtime = ScoringRuntime.from_checkpoint(ckpt)
     detector = StreamDetector(runtime, calib, det_cfg)
     try:
-        source = sys.stdin if args.input == "-" else open(args.input)
+        source = sys.stdin.buffer if args.input == "-" else open(args.input, "rb")
     except OSError as e:
         raise InputError(f"cannot open stream input {args.input}: {e.strerror}") from None
     try:
         metrics_fh = None if args.metrics_out is None else open(args.metrics_out, "w")
     except OSError as e:
-        if source is not sys.stdin:
+        if args.input != "-":
             source.close()
         raise InputError(f"cannot write --metrics-out {args.metrics_out}: {e.strerror}") \
             from None
-    # With --metrics-out, every push and verdict-tail time is kept for the
-    # percentiles.
+    # With --metrics-out, each frame's share of its push and each tail are kept.
     push_us, tail_us = [], []
-    anomalies = rejected = 0
+    blocks = anomalies = rejected = 0
     try:
-        for frame in _frame_lines(source):
+        for frames in frame_blocks(source):
+            blocks += 1
             t0 = time.perf_counter_ns()
-            verdict = detector.push(frame)
+            verdicts = detector.push(frames)
             if metrics_fh is not None:
-                push_us.append((time.perf_counter_ns() - t0) / 1000.0)
-                if verdict is not None:
-                    tail_us.append(verdict.inference_us)
-                    anomalies += verdict.is_anomaly
-            if verdict is not None:
+                push_us += [(time.perf_counter_ns() - t0) / 1000.0 / len(frames)] * len(frames)
+                tail_us.extend(v.inference_us for v in verdicts)
+                anomalies += sum(v.is_anomaly for v in verdicts)
+            for verdict in verdicts:
                 _print_verdict(verdict)
+            if verdicts:
+                sys.stdout.flush()
     except (InputError, StreamError):
         rejected = 1  # a frame that cannot be parsed or scored ends the stream
         raise
     finally:
-        if source is not sys.stdin:
+        if args.input != "-":
             source.close()
         if metrics_fh is not None:
             with metrics_fh:
                 json.dump({
                     "frames": detector.frames_seen,
+                    "blocks": blocks,
                     "verdicts": len(tail_us),
                     "anomalies": anomalies,
                     "rejected_frames": rejected,
@@ -444,17 +420,8 @@ def _print_verdict(verdict):
             "score; flagged anomalous",
             file=sys.stderr,
         )
-    print(
-        json.dumps(
-            {
-                "window_start": verdict.window_start,
-                "score": score,
-                "is_anomaly": verdict.is_anomaly,
-                "inference_us": verdict.inference_us,
-            }
-        ),
-        flush=True,
-    )
+    print(json.dumps({"window_start": verdict.window_start, "score": score,
+                      "is_anomaly": verdict.is_anomaly, "inference_us": verdict.inference_us}))
 
 
 def _p50_p99(samples_us) -> dict:

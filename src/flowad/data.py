@@ -506,3 +506,47 @@ def _load_rows(csv_path: Path, sample_rate_hz: float, declared_n: int | None) ->
     if not records:
         raise DatasetError("row 1: file contains a header but no data rows")
     return records
+
+
+def frame_blocks(source):
+    """(F, N) float64 blocks of `detect`'s `frame_idx,sig_0,...` UTF-8 lines:
+    one per run of same-width lines in each read of what the binary stream
+    has ready. Blank lines are skipped (load_records rejects them in a
+    dataset CSV); frame_idx runs 0, 1, 2, ... without gaps, as in
+    load_records. A bad line raises an InputError once those before it are out."""
+    expected = line_no = 0
+    rest = b""
+    while True:
+        chunk = source.read1(1 << 15)
+        data = rest + chunk
+        cut = data.rfind(b"\n") + 1 if chunk else len(data)
+        rest, rows, error = data[cut:], [], None
+        for line in data[:cut].splitlines():  # at \n, \r\n or \r, as text mode reads
+            line_no += 1
+            line = line.decode("utf-8", "surrogateescape").strip()
+            if not line:
+                continue
+            cells = line.split(",")
+            try:
+                idx = int(cells[0])
+                values = [float(c) for c in cells[1:]]
+            except ValueError:
+                error = f"expected `frame_idx,sig_0,...`, got {line!r}"
+                break
+            if not all(map(math.isfinite, values)):
+                error = f"non-finite value in {line!r}"
+            elif idx != expected:
+                error = f"frame_idx {idx} out of order (expected {expected})"
+            if error:
+                break
+            if rows and len(values) != len(rows[-1]):
+                yield np.array(rows, dtype=np.float64)
+                rows = []
+            rows.append(values)
+            expected += 1
+        if rows:
+            yield np.array(rows, dtype=np.float64)
+        if error:
+            raise InputError(f"stream line {line_no}: {error}")
+        if not chunk:
+            return

@@ -9,8 +9,8 @@ Scoring always takes raw (unnormalized) windows or frames; the runtime
 applies the checkpoint's normalization internally, so calibration, batch
 evaluation, and the stream all share one kernel. Calibration and
 evaluation score blocks of windows; the stream detector runs the LSTM of
-every window in flight as its frames arrive, so each verdict waits only
-for the kernel's tail.
+every window in flight as blocks of frames arrive, stepping frame by
+frame, so each verdict waits only for the kernel's tail.
 """
 
 from __future__ import annotations
@@ -193,9 +193,9 @@ def threshold_for_fpr(calib: CalibrationStats, target_fpr: float) -> float:
 class StreamDetector:
     """Windowed detector over an ordered frame stream.
 
-    Feed frames one at a time with push(); a Verdict comes back every
-    stride frames once the first window has filled. The LSTM part of
-    scoring runs as the frames arrive: each of the ceil(T_W / T_S)
+    Feed frames with push() in (F, N) blocks of any size; a Verdict comes
+    back every stride frames once the first window has filled. The LSTM
+    part of scoring runs as the frames arrive: each of the ceil(T_W / T_S)
     windows in flight owns one row of a `WindowsInFlight`, restarted at
     the window's first frame and advanced by every frame, so a verdict
     pays only the kernel's tail (heads, flow, decoder, L1). Streamed
@@ -225,7 +225,7 @@ class StreamDetector:
         # The last T_W frames, normalized, at their frame index mod T_W.
         self._ring = np.zeros((T_W, runtime.config.n_signals), dtype=runtime.dtype)
         self._count = 0
-        self._stride_ns = 0  # work of the pushes since the last stride boundary
+        self._stride_ns = 0  # work of the frames since the last stride boundary
         self._draw = _eps_stream(runtime, cfg.eps_mode, cfg.eps_seed)
         self.overruns = 0
         # pay first-call costs here, not on the first verdict
@@ -235,58 +235,60 @@ class StreamDetector:
     def frames_seen(self) -> int:
         return self._count
 
-    def push(self, frame) -> Verdict | None:
+    def push(self, frames) -> list[Verdict]:
+        """Verdicts, in order, of the windows the next raw frames (F, N) complete.
+        The work that overruns count for a frame is its LSTM step plus its
+        share of the block's checks, normalize and projection."""
         t0 = time.perf_counter_ns()
-        frame = np.asarray(frame, dtype=np.float64)
+        frames = np.asarray(frames, dtype=np.float64)
         n = self.runtime.config.n_signals
-        if frame.shape != (n,):
+        if frames.ndim != 2 or frames.shape[1] != n:
             raise StreamError(
-                f"frame {self._count} has shape {frame.shape}, expected ({n},)"
+                f"frame {self._count} has shape {frames.shape[1:]}, expected ({n},)"
             )
-        if not np.isfinite(frame).all():
-            raise StreamError(f"frame {self._count} has a non-finite value: {frame}")
-        T_W = self.cfg.windowing.window_len
-        T_S = self.cfg.windowing.stride
-        count = self._count
-        if count % T_S == 0:
-            self._rows.restart(count // T_S % self._slots)
-        self._ring[count % T_W] = self._rows.advance(frame)
-        self._count = count = count + 1
-        t1 = time.perf_counter_ns()
-        self._stride_ns += t1 - t0
-        # Strides end where windows end, counted back to the stream's start.
-        if (count - T_W) % T_S != 0:
-            return None
-        stride_ns, self._stride_ns = self._stride_ns, 0
-        if count < T_W:
-            return None
-        head = count % T_W
-        window = np.concatenate((self._ring[head:], self._ring[:head]), axis=0)
-        row = (count - T_W) // T_S % self._slots
-        score = score_from_l1(self._rows.l1(row, window, self._draw()), self.calib)
-        tail_ns = time.perf_counter_ns() - t1
-        # Real time allows one stride period for one stride's frames and
-        # the verdict they complete.
-        work_s = (stride_ns + tail_ns) * 1e-9
-        if self.cfg.stride_period_s is not None and work_s > self.cfg.stride_period_s:
-            self.overruns += 1
-            log.warning(
-                "stride work took %.3f ms, exceeding the %.3f ms stride period",
-                work_s * 1000.0,
-                self.cfg.stride_period_s * 1000.0,
-            )
-        return Verdict(
-            window_start=count - T_W,
-            score=score,
-            is_anomaly=classify(score, self.cfg.theta),
-            inference_us=tail_ns / 1000.0,
-        )
+        if not np.isfinite(frames).all():
+            bad = int(np.isfinite(frames).all(axis=1).argmin())
+            raise StreamError(f"frame {self._count + bad} has a non-finite value: {frames[bad]}")
+        T_W, T_S = self.cfg.windowing.window_len, self.cfg.windowing.stride
+        rows, ring, verdicts = self._rows, self._ring, []
+        with np.errstate(over="ignore", invalid="ignore"):
+            xs, xps = rows.project(frames)
+            t1 = time.perf_counter_ns()
+            share = (t1 - t0) // max(len(frames), 1)
+            for f in range(len(frames)):
+                count = self._count
+                if count % T_S == 0:
+                    rows.restart(count // T_S % self._slots)
+                rows.step(xps[f])
+                ring[count % T_W] = xs[f]
+                self._count = count = count + 1
+                t0, t1 = t1, time.perf_counter_ns()
+                self._stride_ns += t1 - t0 + share
+                # Strides end where windows end, counted back to the stream's start.
+                if (count - T_W) % T_S != 0:
+                    continue
+                stride_ns, self._stride_ns = self._stride_ns, 0
+                if count < T_W:
+                    continue
+                window = np.concatenate((ring[count % T_W :], ring[: count % T_W]))
+                row = (count - T_W) // T_S % self._slots
+                score = score_from_l1(rows.l1(row, window, self._draw()), self.calib)
+                tail_ns = time.perf_counter_ns() - t1
+                # Real time allows one stride period for one stride's frames and
+                # the verdict they complete.
+                work_s = (stride_ns + tail_ns) * 1e-9
+                if self.cfg.stride_period_s is not None and work_s > self.cfg.stride_period_s:
+                    self.overruns += 1
+                    log.warning("stride work took %.3f ms, exceeding the %.3f ms stride period",
+                                work_s * 1000.0, self.cfg.stride_period_s * 1000.0)
+                verdicts.append(Verdict(count - T_W, score, classify(score, self.cfg.theta),
+                                        inference_us=tail_ns / 1000.0))
+                t1 = time.perf_counter_ns()
+        return verdicts
 
 
 def stream_detect(frames, runtime: ScoringRuntime, calib: CalibrationStats, cfg: DetectorConfig):
     """Run a StreamDetector over an iterable of frames, yielding Verdicts."""
     det = StreamDetector(runtime, calib, cfg)
     for frame in frames:
-        verdict = det.push(frame)
-        if verdict is not None:
-            yield verdict
+        yield from det.push(np.asarray(frame)[None])

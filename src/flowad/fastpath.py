@@ -18,10 +18,10 @@ window for every later product. So row b of a batch equals the
 single-window result bit for bit, at every B.
 
 `WindowsInFlight` is the same kernel cut at the same seams for a stream:
-it projects each frame once as it arrives, runs `autodiff.lstm_step` over
-the LSTM states of every window still in flight, and runs `_tail_l1` when
-a window completes. It makes the very products the batch kernel makes, so
-streamed and batch scoring of the same window are bit-identical.
+it projects each block of frames in one call, runs `autodiff.lstm_step`
+frame by frame over the states of every window in flight, and `_tail_l1`
+when a window completes. It makes the very products the batch kernel
+makes, so streamed and batch scoring of a window are bit-identical.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .model import ModelConfig, build_flow_masks
 def _project(x, w_x, b_g):
     """Gate pre-activations (..., 1, 4H) of normalized frames x (..., N):
     one (1, N) @ (N, 4H) gemv per frame, whether the frame rides in a
-    batch of windows or arrives alone in the stream."""
+    batch of windows or in a block of the stream."""
     xp = np.matmul(x[..., None, :], w_x)
     xp += b_g
     return xp
@@ -126,8 +126,9 @@ class ScoringRuntime:
             enc_w, enc_b, dec_w, dec_b, dt.type(math.exp(config.alpha_const)),
             cast(a["dec1_w"]), cast(a["dec1_b"]), cast(a["dec2_w"]), cast(a["dec2_b"]),
         )
-        self._mean = np.ascontiguousarray(norm_stats.mean, dtype=np.float64)
-        self._std = np.ascontiguousarray(norm_stats.std, dtype=np.float64)
+        # (1, N): a stream block of one frame normalizes without broadcasting.
+        self._mean = np.array(norm_stats.mean, dtype=np.float64).reshape(1, -1)
+        self._std = np.array(norm_stats.std, dtype=np.float64).reshape(1, -1)
         self.norm_stats = norm_stats
 
     @classmethod
@@ -176,19 +177,19 @@ class WindowsInFlight:
     (1, H) row each in one (k, 1, H) array, all advanced one frame at a
     time: the stream's part of `_forward_l1`, split at the same seams.
 
-    `advance` projects each frame once, as `_project` does inside a batch,
-    and runs one `lstm_step` over all k rows, one gemv per row; `l1` runs
-    `_tail_l1` on one row. So a window whose row was `restart`ed at its
-    first frame scores bit for bit what `ScoringRuntime.l1_error` gives
-    for the same frames. A value beyond the scoring dtype's range makes
-    the rows it reaches non-finite, silently, until they restart.
+    `project` projects a block of frames, a gemv per frame as in a batch;
+    `step` runs one `lstm_step` over all k rows; `l1` runs `_tail_l1` on
+    one row. So a window whose row was `restart`ed at its first frame
+    scores bit for bit what `ScoringRuntime.l1_error` gives for the same
+    frames. A value beyond the scoring dtype's range makes the rows it
+    reaches non-finite until they restart, under the caller's np.errstate.
     """
 
     def __init__(self, runtime: ScoringRuntime, k: int):
         dt, H = runtime.dtype, runtime.config.hidden_size
         self._runtime = runtime
         w_x, w_h, b_g, *self._tail = runtime._weights
-        self._proj = (w_x, b_g)
+        self._proj = (w_x, b_g.reshape(1, 1, -1))  # no broadcast at one frame
         self._acts = np.empty((k, 1, 4 * H), dtype=dt)
         self._h = np.zeros((k, 1, H), dtype=dt)
         self._c = np.zeros_like(self._h)
@@ -202,17 +203,18 @@ class WindowsInFlight:
         self._h[row] = 0.0
         self._c[row] = 0.0
 
-    def advance(self, frame_raw: np.ndarray) -> np.ndarray:
-        """Advance every row by the raw frame (N,); returns it normalized."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = self._runtime.normalize(frame_raw)
-            self._acts[...] = _project(x, *self._proj)
-            lstm_step(*self._step)
-        return x
+    def project(self, frames_raw: np.ndarray):
+        """Raw frames (F, N), normalized, and their pre-activations (F, 1, 4H)."""
+        x = self._runtime.normalize(frames_raw)
+        return x, _project(x, *self._proj)
+
+    def step(self, xp: np.ndarray):
+        """Advance every row by one frame's pre-activations xp (1, 4H)."""
+        self._acts[...] = xp
+        lstm_step(*self._step)
 
     def l1(self, row: int, x: np.ndarray, eps=None) -> float:
         """L1 error of the window whose state is row `row`, with x its
         normalized (T, N) frames and eps (D,) or None."""
         e = self._zero_eps if eps is None else np.asarray(eps, dtype=self._h.dtype)[None]
-        with np.errstate(over="ignore", invalid="ignore"):
-            return float(_tail_l1(self._h[row : row + 1], x[None], *self._tail, e)[0])
+        return float(_tail_l1(self._h[row : row + 1], x[None], *self._tail, e)[0])

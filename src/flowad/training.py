@@ -40,7 +40,7 @@ from .model import (
     init_discriminator,
     init_generator,
 )
-from .optim import AdamWState, adamw_init, adamw_step
+from .optim import adamw_init, adamw_step
 
 log = logging.getLogger(__name__)
 
@@ -135,8 +135,6 @@ class TrainResult:
     discriminator: DiscriminatorParams
     norm_stats: NormStats
     log: list[dict] = field(default_factory=list)
-    opt_g: AdamWState | None = None
-    opt_d: AdamWState | None = None
 
 
 def _bias_names(arrays: dict) -> frozenset[str]:
@@ -272,6 +270,4 @@ def train(
         discriminator=disc,
         norm_stats=norm_stats,
         log=epoch_log,
-        opt_g=opt_g,
-        opt_d=opt_d,
     )

@@ -2,9 +2,12 @@
 detect -> bench chain, exit codes, and byte-level reproducibility."""
 
 import dataclasses
+import io
 import json
+import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -12,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowad.checkpoint import load_checkpoint, save_checkpoint
-from flowad.cli import _config, _frame_lines, main
-from flowad.data import WindowingConfig, load_records, manifest_path, save_records
-from flowad.detection import CalibrationStats
+from flowad.cli import _config, main
+from flowad.data import WindowingConfig, frame_blocks, load_records, manifest_path, save_records
+from flowad.detection import CalibrationStats, DetectorConfig, stream_detect
 from flowad.errors import InputError
 from flowad.evaluation import per_type_auroc, roc_curve, score_records
 from flowad.fastpath import ScoringRuntime
@@ -528,12 +531,14 @@ class TestDetect:
         verdicts = [json.loads(line) for line in out.splitlines()]
         doc = json.loads(metrics.read_text())
         assert doc["frames"] == 100 and doc["verdicts"] == 4 == len(verdicts)
+        assert doc["blocks"] == 1  # the whole file came in one read
         assert doc["anomalies"] == sum(v["is_anomaly"] for v in verdicts)
         assert doc["rejected_frames"] == 0
         assert doc["overruns"] == 4  # no stride fits in a nanosecond
         tails = sorted(v["inference_us"] for v in verdicts)
         assert tails[0] <= doc["tail_us"]["p50"] <= doc["tail_us"]["p99"] <= tails[-1]
-        assert 0.0 < doc["push_us"]["p50"] <= doc["push_us"]["p99"]
+        # Every frame's push time is its share of its block's, here one block.
+        assert 0.0 < doc["push_us"]["p50"] == doc["push_us"]["p99"]
         assert doc["backend"] == "numpy"
         assert set(doc["blas_threads"]) == {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                             "MKL_NUM_THREADS"}
@@ -547,6 +552,7 @@ class TestDetect:
                      "--metrics-out", str(metrics)]) == 1
         doc = json.loads(metrics.read_text())
         assert (doc["frames"], doc["verdicts"], doc["rejected_frames"]) == (1, 0, 1)
+        assert doc["blocks"] == 2  # the short line starts a block of its own
         assert doc["tail_us"] == {"p50": None, "p99": None}
 
     def test_metrics_out_into_a_directory_exits_2(self, env, tmp_path, capsys):
@@ -556,6 +562,123 @@ class TestDetect:
                      "--metrics-out", str(tmp_path)])
         assert code == 2
         assert f"cannot write --metrics-out {tmp_path}" in capsys.readouterr().err
+
+
+def _verdicts(stdout: str) -> list[dict]:
+    """Verdict lines without `inference_us`, which is a timing."""
+    return [{k: v for k, v in json.loads(line).items() if k != "inference_us"}
+            for line in stdout.splitlines()]
+
+
+def _detect_subprocess(args, stdin: bytes | None = None):
+    # Strict UTF-8 stdio: what stdin decoding would be under a UTF-8 locale.
+    env = {**os.environ, "PYTHONIOENCODING": "utf-8:strict"}
+    return subprocess.run([sys.executable, "-m", "flowad.cli", "detect", *args], input=stdin,
+                          capture_output=True, timeout=120, env=env)
+
+
+@pytest.mark.parametrize("eps_mode", ["zero", "sample"])
+def test_file_and_stdin_give_the_verdicts_of_frame_at_a_time_scoring(env, tmp_path, eps_mode):
+    cfg, ckpt = env["cfg"], env["ckpt"]
+    if eps_mode == "sample":
+        cfg = tmp_path / "sample.json"
+        cfg.write_text(json.dumps({**CONFIG, "detect": {"eps_mode": "sample", "eps_seed": 3}}))
+        ckpt = str(tmp_path / "sample.ckpt")
+        assert main(["calibrate", "--config", str(cfg), "--checkpoint", env["ckpt"],
+                     "--data", str(env["train_csv"]), "--out", ckpt]) == 0
+    # Twelve records back to back: about 100 KB, so several reads and blocks.
+    records = load_records(env["test_csv"])
+    rows = np.concatenate([r.frames for r in records])
+    frames = _frames_file(env, tmp_path / "frames.txt", rows=rows)
+    args = ["--config", str(cfg), "--checkpoint", ckpt, "--threshold", "3.0"]
+    from_file = _detect_subprocess([*args, "--input", str(frames)])
+    from_stdin = _detect_subprocess([*args, "--input", "-"], stdin=frames.read_bytes())
+    assert from_file.returncode == from_stdin.returncode == 0, from_stdin.stderr
+    assert _verdicts(from_file.stdout.decode()) == _verdicts(from_stdin.stdout.decode())
+    loaded = load_checkpoint(ckpt)
+    calib = CalibrationStats.from_dict(loaded.calibration)
+    det_cfg = DetectorConfig(theta=3.0, windowing=WindowingConfig(40, 20), eps_mode=eps_mode,
+                             eps_seed=3 if eps_mode == "sample" else 0)
+    one_at_a_time = stream_detect(rows, ScoringRuntime.from_checkpoint(loaded), calib, det_cfg)
+    assert _verdicts(from_file.stdout.decode()) == [
+        {"window_start": v.window_start, "score": v.score, "is_anomaly": v.is_anomaly}
+        for v in one_at_a_time
+    ]  # bitwise: JSON floats round-trip
+
+
+@pytest.mark.parametrize("via", ["file", "stdin"])
+def test_undecodable_bytes_in_a_frame_line_exit_2_naming_the_line(env, tmp_path, via):
+    frames = _frames_file(env, tmp_path / "frames.txt")
+    clean = _detect_subprocess(["--config", env["cfg"], "--checkpoint", env["ckpt"],
+                                "--threshold", "3.0", "--input", str(frames)])
+    lines = frames.read_bytes().splitlines(keepends=True)
+    lines[83] = b"83,\xff\xfe" + lines[83][3:]
+    frames.write_bytes(b"".join(lines))
+    proc = _detect_subprocess(["--config", env["cfg"], "--checkpoint", env["ckpt"],
+                               "--threshold", "3.0",
+                               "--input", str(frames) if via == "file" else "-"],
+                              stdin=frames.read_bytes() if via == "stdin" else None)
+    assert proc.returncode == 2
+    err = proc.stderr.decode()
+    assert err.startswith("error: stream line 84: expected `frame_idx,sig_0,...`, got '83,"), err
+    # The windows that ended before line 84 were still scored.
+    assert _verdicts(proc.stdout.decode()) == _verdicts(clean.stdout.decode())[:3]
+
+
+class _Reads:
+    """Binary stdin whose reads return the given chunks in turn, as a pipe
+    written in bursts would."""
+
+    def __init__(self, chunks):
+        self._chunks = list(chunks)
+
+    def read1(self, size):
+        assert all(len(c) <= size for c in self._chunks)
+        return self._chunks.pop(0) if self._chunks else b""
+
+
+# A bad line at frame k, and the error today's detect gives for it.
+_BAD_LINES = {
+    "unparseable": (lambda k: f"{k},x,2.0,3.0,4.0",
+                    lambda k: (2, f"stream line {k + 1}: expected `frame_idx,sig_0,...`, "
+                                  f"got '{k},x,2.0,3.0,4.0'")),
+    "non_finite": (lambda k: f"{k},1.0,nan,3.0,4.0",
+                   lambda k: (2, f"stream line {k + 1}: non-finite value in "
+                                 f"'{k},1.0,nan,3.0,4.0'")),
+    "out_of_order": (lambda k: f"{k + 1},1.0,2.0,3.0,4.0",
+                     lambda k: (2, f"stream line {k + 1}: frame_idx {k + 1} out of order "
+                                   f"(expected {k})")),
+    "wrong_width": (lambda k: f"{k},1.0,2.0,3.0",
+                    lambda k: (1, f"frame {k} has shape (3,), expected (4,)")),
+}
+# Reads deliver frames [0, 30), [30, 55) and [55, 100); T_W=40 and T_S=20,
+# so frame 79 completes a window in the middle of the last read.
+_READ_EDGES = (30, 55)
+_POSITIONS = {"first": 30, "middle": 42, "last": 54, "window_end": 79}
+
+
+@pytest.mark.parametrize("position", list(_POSITIONS))
+@pytest.mark.parametrize("kind", list(_BAD_LINES))
+def test_bad_line_inside_a_block_ends_the_stream_after_the_frames_before_it(
+        env, tmp_path, capsys, monkeypatch, kind, position):
+    k = _POSITIONS[position]
+    frames = _frames_file(env, tmp_path / "frames.txt")
+    args = ["detect", "--config", env["cfg"], "--checkpoint", env["ckpt"], "--threshold", "3.0"]
+    assert main([*args, "--input", str(frames)]) == 0
+    clean = _verdicts(capsys.readouterr().out)
+    bad_line, error = _BAD_LINES[kind]
+    lines = frames.read_text().splitlines(keepends=True)
+    lines[k] = bad_line(k) + "\n"
+    edges = (0, *_READ_EDGES, len(lines))
+    chunks = ["".join(lines[a:b]).encode() for a, b in zip(edges, edges[1:])]
+    monkeypatch.setattr(sys, "stdin", types.SimpleNamespace(buffer=_Reads(chunks)))
+    metrics = tmp_path / "metrics.json"
+    code = main([*args, "--input", "-", "--metrics-out", str(metrics)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (error(k)[0], f"error: {error(k)[1]}\n")
+    assert _verdicts(out) == [v for v in clean if v["window_start"] + 40 <= k]
+    doc = json.loads(metrics.read_text())
+    assert (doc["frames"], doc["rejected_frames"]) == (k, 1)
 
 
 @pytest.mark.parametrize("case", ["train --data", "calibrate --checkpoint", "eval --checkpoint",
@@ -595,18 +718,19 @@ _CELLS = st.one_of(
 
 
 @settings(deadline=None)
-@given(st.one_of(st.text(), st.lists(_CELLS, min_size=1, max_size=6).map(",".join)))
+@given(st.one_of(st.text(st.characters(exclude_characters="\r\n")),
+                 st.lists(_CELLS, min_size=1, max_size=6).map(",".join)))
 def test_frame_line_parses_to_a_finite_frame_or_input_error(line):
     try:
-        frames = list(_frame_lines([line]))
+        blocks = list(frame_blocks(io.BytesIO(line.encode("utf-8", "surrogatepass"))))
     except InputError:
         return
     if not line.strip():
-        assert frames == []
+        assert blocks == []
         return
-    [frame] = frames
-    assert frame.dtype == np.float64 and frame.ndim == 1
-    assert np.isfinite(frame).all()
+    [block] = blocks
+    assert block.dtype == np.float64 and block.ndim == 2 and len(block) == 1
+    assert np.isfinite(block).all()
 
 
 class TestBench:

@@ -348,8 +348,7 @@ class TestStreamDetector:
         record = trained_small["test_records"][0]
         emitted = []
         for frame in record.frames:
-            v = det.push(frame)
-            if v is not None:
+            for v in det.push(frame[None]):
                 emitted.append((det.frames_seen, v.window_start))
         assert emitted == [(100, 0), (140, 40), (180, 80), (220, 120)]
         expected = window_count(record.n_frames, trained_small["windowing"])
@@ -358,7 +357,7 @@ class TestStreamDetector:
     def test_short_stream_emits_nothing(self, trained_small):
         det = self._detector(trained_small)
         for frame in trained_small["test_records"][0].frames[:99]:
-            assert det.push(frame) is None
+            assert det.push(frame[None]) == []
 
     def test_streaming_equals_batch_bitwise(self, trained_small):
         runtime = trained_small["runtime"]
@@ -385,8 +384,7 @@ class TestStreamDetector:
         theta = float(np.median(scores))
         det = self._detector(trained_small, theta=theta)
         for frame in record.frames:
-            v = det.push(frame)
-            if v is not None:
+            for v in det.push(frame[None]):
                 assert v.is_anomaly == (v.score > theta)
                 assert v.inference_us >= 0.0
 
@@ -410,7 +408,7 @@ class TestStreamDetector:
         frames = np.full((trained_small["windowing"].window_len, 6), 1e39)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            *_, verdict = (det.push(frame) for frame in frames)
+            *_, [verdict] = (det.push(frame[None]) for frame in frames)
         assert np.isnan(verdict.score)
         assert verdict.is_anomaly is True
 
@@ -439,18 +437,18 @@ class TestStreamDetector:
 
     def test_bad_frame_shape_is_stream_error(self, trained_small):
         det = self._detector(trained_small)
-        det.push(np.zeros(6))
+        det.push(np.zeros((1, 6)))
         with pytest.raises(StreamError, match="frame 1"):
-            det.push(np.zeros(5))
+            det.push(np.zeros((1, 5)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_frame_is_stream_error(self, trained_small, bad):
         det = self._detector(trained_small)
-        det.push(np.zeros(6))
+        det.push(np.zeros((1, 6)))
         frame = np.zeros(6)
         frame[3] = bad
         with pytest.raises(StreamError, match="frame 1 has a non-finite value"):
-            det.push(frame)
+            det.push(frame[None])
         assert det.frames_seen == 1
 
     def test_sampled_eps_reproducible_by_seed(self, trained_small):
@@ -474,7 +472,7 @@ class TestStreamDetector:
     def test_overrun_counter_with_impossible_budget(self, trained_small):
         det = self._detector(trained_small, stride_period_s=1e-12)
         for frame in trained_small["test_records"][0].frames:
-            det.push(frame)
+            det.push(frame[None])
         assert det.overruns >= 1
 
     def test_overflowing_frame_poisons_only_the_windows_that_contain_it(self, trained_small):
@@ -489,7 +487,7 @@ class TestStreamDetector:
         det = self._detector(trained_small)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            verdicts = [v for v in map(det.push, frames) if v is not None]
+            verdicts = [v for frame in frames for v in det.push(frame[None])]
             for v in verdicts:
                 if v.window_start in (40, 80):
                     assert math.isnan(v.score) and v.is_anomaly is True
@@ -531,3 +529,48 @@ def test_streamed_verdicts_equal_l1_error_on_the_same_slice(
         eps = eps_rng.standard_normal(4) if eps_mode == "sample" else None
         l1 = runtime.l1_error(frames[v.window_start : v.window_start + window_len], eps)
         assert v.score == score_from_l1(l1, calib)  # bitwise
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    window_len=st.integers(1, 12),
+    stride_frac=st.floats(0.0, 1.0),
+    extra_strides=st.integers(0, 6),
+    eps_mode=st.sampled_from(["zero", "sample"]),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_any_partition_into_blocks_gives_the_verdicts_of_one_frame_pushes(
+        window_len, stride_frac, extra_strides, eps_mode, dtype, seed, data):
+    stride = 1 + round(stride_frac * (window_len - 1))
+    rng = np.random.default_rng(seed)
+    cfg = ModelConfig(n_signals=3, window_len=window_len, hidden_size=5, latent_size=4,
+                      flow_layers=2, made_hidden=6)
+    norm = NormStats(mean=rng.standard_normal(3), std=rng.uniform(0.5, 2.0, 3))
+    runtime = fastpath.ScoringRuntime(cfg, init_generator(cfg, rng).arrays, norm, dtype=dtype)
+    calib = CalibrationStats(mu=rng.standard_normal(), sigma=rng.uniform(0.5, 2.0),
+                             eps_mode=eps_mode)
+    det_cfg = DetectorConfig(theta=0.0, windowing=WindowingConfig(window_len, stride),
+                             eps_mode=eps_mode, eps_seed=seed)
+    frames = rng.standard_normal((window_len + extra_strides * stride + stride - 1, 3)) * 3.0
+    # Block edges anywhere, or exactly where windows end; repeated edges
+    # give empty blocks, adjacent ones blocks of one frame, and few edges
+    # blocks that span several windows.
+    window_ends = list(range(window_len, len(frames) + 1, stride))
+    edges = sorted(data.draw(st.lists(st.one_of(st.integers(0, len(frames)),
+                                                st.sampled_from(window_ends)), max_size=12)))
+    bounds = [0, *edges, len(frames)]
+    det = StreamDetector(runtime, calib, det_cfg)
+    blocked = [v for a, b in zip(bounds, bounds[1:]) for v in det.push(frames[a:b])]
+    single = StreamDetector(runtime, calib, det_cfg)
+    one_by_one = [v for frame in frames for v in single.push(frame[None])]
+    assert det.frames_seen == len(frames)
+    assert len(blocked) == len(one_by_one) == extra_strides + 1
+    eps_rng = np.random.default_rng(seed)
+    for j, (v, w) in enumerate(zip(blocked, one_by_one)):
+        eps = eps_rng.standard_normal(4) if eps_mode == "sample" else None
+        l1 = runtime.l1_error(frames[j * stride : j * stride + window_len], eps)
+        assert v.window_start == w.window_start == j * stride
+        assert v.score == w.score == score_from_l1(l1, calib)  # bitwise
+        assert v.is_anomaly == w.is_anomaly
