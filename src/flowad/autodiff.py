@@ -6,12 +6,14 @@ relu/abs, clipping, reshape, full-array sums, and one fused LSTM
 over a whole sequence with hand-written backprop through time.
 Training runs in float64 throughout; every Tensor coerces to float64.
 
-The free functions (matmul, exp, ...) dispatch on their arguments:
-given Tensors they record onto the graph, given plain ndarrays they
-fall through to numpy. Model code written against them therefore runs
-unchanged in differentiable and plain modes, and any plain-ndarray
-operand acts as a constant (no gradient flows into it), which is how
-detached values are expressed.
+Each elementwise or matrix primitive is one call to `_binary` or
+`_unary` naming its numpy function and its VJPs. Given plain ndarrays
+the helpers return that function's result unchanged; given a Tensor
+they record one node on the graph. Model code written against the free
+functions therefore runs unchanged in differentiable and plain modes,
+and any plain-ndarray operand acts as a constant (no gradient flows
+into it), which is how detached values are expressed. matmul records
+only (B, m) @ (m, n), the one product the model makes.
 """
 
 from __future__ import annotations
@@ -95,130 +97,78 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g
 
 
-# -- binary primitives ---------------------------------------------------
+# -- primitives ------------------------------------------------------------
+# A VJP maps the output's gradient g and the operands' data (for unary
+# ops, also the output) to one operand's gradient.
+
+
+def _binary(name, fn, da, db, a, b):
+    """fn(a, b); with a Tensor operand, the node whose backward pass sends
+    each Tensor operand its VJP, da(g, a, b) or db(g, a, b), summed down
+    to the operand's shape."""
+    ta, tb = isinstance(a, Tensor), isinstance(b, Tensor)
+    if not (ta or tb):
+        return fn(a, b)
+    ad, bd = _raw(a), _raw(b)
+
+    def backward(g):
+        if ta:
+            _acc(a, _unbroadcast(da(g, ad, bd), ad.shape))
+        if tb:
+            _acc(b, _unbroadcast(db(g, ad, bd), bd.shape))
+
+    return _make(fn(ad, bd), name, (a, b), backward)
+
+
+def _unary(name, fn, dx, x):
+    """fn(x); with a Tensor x, the node whose backward pass sends x its
+    VJP dx(g, x, out)."""
+    if not isinstance(x, Tensor):
+        return fn(x)
+    xd = x.data
+    out = fn(xd)
+
+    def backward(g):
+        _acc(x, dx(g, xd, out))
+
+    return _make(out, name, (x,), backward)
 
 
 def add(a, b):
-    ta, tb = isinstance(a, Tensor), isinstance(b, Tensor)
-    if not (ta or tb):
-        return np.add(a, b)
-    ad, bd = _raw(a), _raw(b)
-    out = ad + bd
-
-    def backward(g):
-        if ta:
-            _acc(a, _unbroadcast(g, ad.shape))
-        if tb:
-            _acc(b, _unbroadcast(g, bd.shape))
-
-    return _make(out, "add", (a, b), backward)
+    return _binary("add", np.add, lambda g, a, b: g, lambda g, a, b: g, a, b)
 
 
 def sub(a, b):
-    ta, tb = isinstance(a, Tensor), isinstance(b, Tensor)
-    if not (ta or tb):
-        return np.subtract(a, b)
-    ad, bd = _raw(a), _raw(b)
-    out = ad - bd
-
-    def backward(g):
-        if ta:
-            _acc(a, _unbroadcast(g, ad.shape))
-        if tb:
-            _acc(b, _unbroadcast(-g, bd.shape))
-
-    return _make(out, "sub", (a, b), backward)
+    return _binary("sub", np.subtract, lambda g, a, b: g, lambda g, a, b: -g, a, b)
 
 
 def mul(a, b):
-    ta, tb = isinstance(a, Tensor), isinstance(b, Tensor)
-    if not (ta or tb):
-        return np.multiply(a, b)
-    ad, bd = _raw(a), _raw(b)
-    out = ad * bd
-
-    def backward(g):
-        if ta:
-            _acc(a, _unbroadcast(g * bd, ad.shape))
-        if tb:
-            _acc(b, _unbroadcast(g * ad, bd.shape))
-
-    return _make(out, "mul", (a, b), backward)
+    return _binary("mul", np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a, a, b)
 
 
 def matmul(a, b):
-    """Matrix product for the shapes the model uses:
-    (m,)@(m,n), (B,m)@(m,n), and (m,n)@(n,)."""
-    ta, tb = isinstance(a, Tensor), isinstance(b, Tensor)
-    if not (ta or tb):
-        return np.matmul(a, b)
-    ad, bd = _raw(a), _raw(b)
-    if ad.ndim == 2 and bd.ndim == 1:
-        out = ad @ bd
-
-        def backward(g):
-            if ta:
-                _acc(a, np.outer(g, bd))
-            if tb:
-                _acc(b, ad.T @ g)
-
-        return _make(out, "matmul", (a, b), backward)
-    if bd.ndim != 2 or ad.ndim not in (1, 2):
-        raise ValueError(f"unsupported matmul shapes {ad.shape} @ {bd.shape}")
-    out = ad @ bd
-
-    def backward(g):
-        if ad.ndim == 1:
-            if ta:
-                _acc(a, bd @ g)
-            if tb:
-                _acc(b, np.outer(ad, g))
-        else:
-            if ta:
-                _acc(a, g @ bd.T)
-            if tb:
-                _acc(b, ad.T @ g)
-
-    return _make(out, "matmul", (a, b), backward)
-
-
-# -- unary primitives ----------------------------------------------------
+    """Matrix product. The tape records only (B, m) @ (m, n), the one
+    shape the model makes; plain operands go to np.matmul as they are."""
+    if (isinstance(a, Tensor) or isinstance(b, Tensor)) and not _raw(a).ndim == _raw(b).ndim == 2:
+        raise ValueError(f"unsupported matmul shapes {_raw(a).shape} @ {_raw(b).shape}")
+    return _binary("matmul", np.matmul, lambda g, a, b: g @ b.T, lambda g, a, b: a.T @ g, a, b)
 
 
 def neg(x):
-    if not isinstance(x, Tensor):
-        return np.negative(x)
-
-    def backward(g):
-        _acc(x, -g)
-
-    return _make(-x.data, "neg", (x,), backward)
+    return _unary("neg", np.negative, lambda g, x, out: -g, x)
 
 
 def exp(x):
-    if not isinstance(x, Tensor):
-        return np.exp(x)
-    out = np.exp(x.data)
-
-    def backward(g):
-        _acc(x, g * out)
-
-    return _make(out, "exp", (x,), backward)
+    return _unary("exp", np.exp, lambda g, x, out: g * out, x)
 
 
 def log(x):
-    if not isinstance(x, Tensor):
-        return np.log(x)
-    out = np.log(x.data)
-
-    def backward(g):
-        _acc(x, g / x.data)
-
-    return _make(out, "log", (x,), backward)
+    return _unary("log", np.log, lambda g, x, out: g / x, x)
 
 
-def _sigmoid_stable(x: np.ndarray) -> np.ndarray:
+def _sigmoid_stable(x) -> np.ndarray:
     # Two-branch form: never exponentiates a positive argument.
+    x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -228,71 +178,30 @@ def _sigmoid_stable(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x):
-    if not isinstance(x, Tensor):
-        return _sigmoid_stable(np.asarray(x, dtype=np.float64))
-    out = _sigmoid_stable(x.data)
-
-    def backward(g):
-        _acc(x, g * out * (1.0 - out))
-
-    return _make(out, "sigmoid", (x,), backward)
+    return _unary("sigmoid", _sigmoid_stable, lambda g, x, out: g * out * (1.0 - out), x)
 
 
 def relu(x):
-    if not isinstance(x, Tensor):
-        return np.maximum(x, 0.0)
-    out = np.maximum(x.data, 0.0)
-
-    def backward(g):
-        _acc(x, g * (x.data > 0.0))
-
-    return _make(out, "relu", (x,), backward)
+    return _unary("relu", lambda v: np.maximum(v, 0.0), lambda g, x, out: g * (x > 0.0), x)
 
 
 def absolute(x):
     # Subgradient at 0 is taken as 0 (np.sign(0) == 0).
-    if not isinstance(x, Tensor):
-        return np.abs(x)
-    out = np.abs(x.data)
-
-    def backward(g):
-        _acc(x, g * np.sign(x.data))
-
-    return _make(out, "abs", (x,), backward)
+    return _unary("abs", np.abs, lambda g, x, out: g * np.sign(x), x)
 
 
 def clip(x, lo: float, hi: float):
-    if not isinstance(x, Tensor):
-        return np.clip(x, lo, hi)
-    out = np.clip(x.data, lo, hi)
-
-    def backward(g):
-        _acc(x, g * ((x.data >= lo) & (x.data <= hi)))
-
-    return _make(out, "clip", (x,), backward)
+    return _unary("clip", lambda v: np.clip(v, lo, hi),
+                  lambda g, x, out: g * ((x >= lo) & (x <= hi)), x)
 
 
 def sum_all(x):
-    if not isinstance(x, Tensor):
-        return np.sum(x)
-    out = np.sum(x.data)
-
-    def backward(g):
-        _acc(x, np.full(x.data.shape, float(g)))
-
-    return _make(np.asarray(out), "sum", (x,), backward)
+    return _unary("sum", np.sum, lambda g, x, out: np.full(x.shape, float(g)), x)
 
 
 def reshape(x, shape):
-    if not isinstance(x, Tensor):
-        return np.reshape(x, shape)
-    old = x.data.shape
-    out = x.data.reshape(shape)
-
-    def backward(g):
-        _acc(x, g.reshape(old))
-
-    return _make(out, "reshape", (x,), backward)
+    return _unary("reshape", lambda v: np.reshape(v, shape),
+                  lambda g, x, out: g.reshape(x.shape), x)
 
 
 # -- fused LSTM ------------------------------------------------------------

@@ -374,7 +374,7 @@ def cmd_detect(args) -> int:
     push_us, tail_us = [], []
     blocks = anomalies = rejected = 0
     try:
-        for frames in frame_blocks(source):
+        for frames in frame_blocks(source, runtime.config.n_signals):
             blocks += 1
             t0 = time.perf_counter_ns()
             verdicts = detector.push(frames)

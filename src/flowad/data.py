@@ -508,12 +508,12 @@ def _load_rows(csv_path: Path, sample_rate_hz: float, declared_n: int | None) ->
     return records
 
 
-def frame_blocks(source):
-    """(F, N) float64 blocks of `detect`'s `frame_idx,sig_0,...` UTF-8 lines:
-    one per run of same-width lines in each read of what the binary stream
-    has ready. Blank lines are skipped (load_records rejects them in a
-    dataset CSV); frame_idx runs 0, 1, 2, ... without gaps, as in
-    load_records. A bad line raises an InputError once those before it are out."""
+def frame_blocks(source, n_signals: int):
+    """(F, n_signals) float64 blocks of `detect`'s `frame_idx,sig_0,...` UTF-8
+    lines: at most one per read of what the binary stream has ready. Blank
+    lines are skipped (load_records rejects them in a dataset CSV); frame_idx
+    runs 0, 1, 2, ... without gaps, as in load_records. A bad line raises an
+    InputError once those before it are out."""
     expected = line_no = 0
     rest = b""
     while True:
@@ -533,15 +533,14 @@ def frame_blocks(source):
             except ValueError:
                 error = f"expected `frame_idx,sig_0,...`, got {line!r}"
                 break
-            if not all(map(math.isfinite, values)):
+            if len(values) != n_signals:
+                error = f"expected {n_signals} signals, got {len(values)}"
+            elif not all(map(math.isfinite, values)):
                 error = f"non-finite value in {line!r}"
             elif idx != expected:
                 error = f"frame_idx {idx} out of order (expected {expected})"
             if error:
                 break
-            if rows and len(values) != len(rows[-1]):
-                yield np.array(rows, dtype=np.float64)
-                rows = []
             rows.append(values)
             expected += 1
         if rows:

@@ -34,10 +34,6 @@ class GeneratorLossParts:
     sparsity: float
     adversarial: float
 
-    @property
-    def total(self) -> float:
-        return self.mse + self.sparsity + self.adversarial
-
 
 def _batch_size(x) -> int:
     return x.shape[0] if x.ndim > 1 else 1

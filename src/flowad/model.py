@@ -198,10 +198,7 @@ def maf_forward(z0, params: Mapping, masks, cfg: ModelConfig):
             m_enc,
             m_dec,
         )
-        if scale == 1.0:
-            z = ad.add(z, mu_k)
-        else:
-            z = ad.add(ad.mul(z, scale), mu_k)
+        z = ad.add(ad.mul(z, scale), mu_k)
     return z
 
 

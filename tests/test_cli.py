@@ -440,7 +440,7 @@ class TestDetect:
         assert code == 2
         assert "threshold" in capsys.readouterr().err
 
-    def test_width_mismatch_mid_stream_exits_1(self, env, tmp_path, capsys):
+    def test_width_mismatch_mid_stream_exits_2_naming_the_line(self, env, tmp_path, capsys):
         records = load_records(env["test_csv"])
         good = records[0].frames[:10]
         path = tmp_path / "broken.txt"
@@ -449,8 +449,8 @@ class TestDetect:
         path.write_text("\n".join(lines) + "\n")
         code = main(["detect", "--config", env["cfg"], "--checkpoint", env["ckpt"],
                      "--input", str(path), "--threshold", "3.0"])
-        assert code == 1
-        assert "frame 10" in capsys.readouterr().err
+        assert code == 2
+        assert "stream line 11: expected 4 signals, got 3" in capsys.readouterr().err
 
     def test_unparseable_line_exits_2(self, env, tmp_path, capsys):
         path = tmp_path / "garbage.txt"
@@ -549,10 +549,10 @@ class TestDetect:
         metrics = tmp_path / "metrics.json"
         assert main(["detect", "--config", env["cfg"], "--checkpoint", env["ckpt"],
                      "--input", str(path), "--threshold", "3.0",
-                     "--metrics-out", str(metrics)]) == 1
+                     "--metrics-out", str(metrics)]) == 2
         doc = json.loads(metrics.read_text())
         assert (doc["frames"], doc["verdicts"], doc["rejected_frames"]) == (1, 0, 1)
-        assert doc["blocks"] == 2  # the short line starts a block of its own
+        assert doc["blocks"] == 1  # the short line ends the read's block
         assert doc["tail_us"] == {"p50": None, "p99": None}
 
     def test_metrics_out_into_a_directory_exits_2(self, env, tmp_path, capsys):
@@ -649,7 +649,7 @@ _BAD_LINES = {
                      lambda k: (2, f"stream line {k + 1}: frame_idx {k + 1} out of order "
                                    f"(expected {k})")),
     "wrong_width": (lambda k: f"{k},1.0,2.0,3.0",
-                    lambda k: (1, f"frame {k} has shape (3,), expected (4,)")),
+                    lambda k: (2, f"stream line {k + 1}: expected 4 signals, got 3")),
 }
 # Reads deliver frames [0, 30), [30, 55) and [55, 100); T_W=40 and T_S=20,
 # so frame 79 completes a window in the middle of the last read.
@@ -721,16 +721,19 @@ _CELLS = st.one_of(
 @given(st.one_of(st.text(st.characters(exclude_characters="\r\n")),
                  st.lists(_CELLS, min_size=1, max_size=6).map(",".join)))
 def test_frame_line_parses_to_a_finite_frame_or_input_error(line):
+    data, n = line.encode("utf-8", "surrogatepass"), line.count(",")
     try:
-        blocks = list(frame_blocks(io.BytesIO(line.encode("utf-8", "surrogatepass"))))
+        blocks = list(frame_blocks(io.BytesIO(data), n))
     except InputError:
         return
     if not line.strip():
         assert blocks == []
         return
     [block] = blocks
-    assert block.dtype == np.float64 and block.ndim == 2 and len(block) == 1
+    assert block.dtype == np.float64 and block.shape == (1, n)
     assert np.isfinite(block).all()
+    with pytest.raises(InputError, match=f"expected {n + 1} signals, got {n}"):
+        list(frame_blocks(io.BytesIO(data), n + 1))
 
 
 class TestBench:

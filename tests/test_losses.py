@@ -127,7 +127,8 @@ def test_generator_total_decomposes():
     w = rng.standard_normal((2, 8, 3))
     lp = generator_forward(w, gen, masks, cfg, eps=rng.standard_normal((2, 4)))
     total, parts = loss_generator(lp, w, gen, disc, cfg, lam=1e-3, beta=0.5)
-    assert _val(total) == pytest.approx(parts.total, rel=1e-12)
+    assert _val(total) == pytest.approx(parts.mse + parts.sparsity + parts.adversarial,
+                                        rel=1e-12)
     assert parts.mse > 0 and parts.sparsity > 0 and parts.adversarial > 0
 
 

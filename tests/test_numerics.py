@@ -1,6 +1,8 @@
 """Gradient and optimizer correctness against closed-form and
 finite-difference oracles."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -75,8 +77,8 @@ def test_abs_hand_case_and_zero_convention():
 
 def test_linear_least_squares_fd():
     rng = np.random.default_rng(0)
-    v = rng.standard_normal(4)
-    y = rng.standard_normal(3)
+    v = rng.standard_normal((4, 1))
+    y = rng.standard_normal((3, 1))
 
     def f(p):
         r = ad.sub(ad.matmul(p["W"], v), y)
@@ -89,7 +91,7 @@ def test_linear_least_squares_fd():
 def test_linear_model_fd_is_tight():
     # derivative of a linear map is exact, so only rounding remains
     rng = np.random.default_rng(1)
-    v = rng.standard_normal(5)
+    v = rng.standard_normal((5, 1))
 
     def f(p):
         return ad.sum_all(ad.matmul(p["W"], v))
@@ -155,19 +157,61 @@ def test_matmul_shapes_and_broadcast_bias():
         "W": rng.standard_normal((4, 5)),
         "b": rng.standard_normal(5),
         "x": rng.standard_normal((2, 4)),
-        "v": rng.standard_normal(4),
     }
 
     def batched(p):
         out = ad.add(ad.matmul(p["x"], p["W"]), p["b"])  # (2,5) + (5,)
         return ad.sum_all(ad.mul(out, out))
 
-    def single(p):
-        out = ad.add(ad.matmul(p["v"], p["W"]), p["b"])  # (5,) + (5,)
-        return ad.sum_all(_tanh(out))
+    def bias_first(p):
+        out = ad.sub(p["b"], ad.matmul(p["x"], p["W"]))  # (5,) - (2,5)
+        return ad.sum_all(ad.mul(out, out))
 
     assert _finite_diff_check(batched, params, step=1e-5) < 1e-4
-    assert _finite_diff_check(single, params, step=1e-5) < 1e-4
+    assert _finite_diff_check(bias_first, params, step=1e-5) < 1e-4
+
+
+@pytest.mark.parametrize("shapes", [((4,), (4, 5)), ((3, 4), (4,))])
+def test_matmul_rejects_a_1d_tensor_operand(shapes):
+    a, b = (np.ones(s) for s in shapes)
+    for operands in [(ad.Tensor(a), b), (a, ad.Tensor(b))]:
+        with pytest.raises(ValueError, match=rf"{re.escape(str(shapes[0]))} @ "
+                                             rf"{re.escape(str(shapes[1]))}"):
+            ad.matmul(*operands)
+    assert np.array_equal(ad.matmul(a, b), np.matmul(a, b))  # plain operands are not checked
+
+
+_X = np.random.default_rng(7).standard_normal((3, 4))
+# Every primitive, with float64 operands that keep its domain.
+_PRIMITIVES = {
+    "add": (ad.add, (_X, _X[0])),
+    "sub": (ad.sub, (_X, _X[0])),
+    "mul": (ad.mul, (_X, _X[0])),
+    "matmul": (ad.matmul, (_X, _X.T)),
+    "neg": (ad.neg, (_X,)),
+    "exp": (ad.exp, (_X,)),
+    "log": (ad.log, (np.abs(_X) + 0.5,)),
+    "sigmoid": (ad.sigmoid, (_X,)),
+    "relu": (ad.relu, (_X,)),
+    "absolute": (ad.absolute, (_X,)),
+    "clip": (lambda x: ad.clip(x, -0.5, 0.5), (_X,)),
+    "sum_all": (ad.sum_all, (_X,)),
+    "reshape": (lambda x: ad.reshape(x, (4, 3)), (_X,)),
+}
+
+
+@pytest.mark.parametrize("name", list(_PRIMITIVES))
+def test_plain_inputs_give_the_recorded_value_bit_for_bit(name):
+    op, args = _PRIMITIVES[name]
+    plain = op(*args)
+    recorded = op(*(ad.Tensor(a) for a in args))
+    assert isinstance(recorded, ad.Tensor) and recorded._parents
+    assert type(plain) is type(recorded.data)
+    assert plain.dtype == recorded.data.dtype == np.float64
+    assert plain.shape == recorded.data.shape
+    assert plain.tobytes() == recorded.data.tobytes()
+    if name == "sum_all":
+        assert not isinstance(plain, np.ndarray)  # a numpy scalar, not a 0-d array
 
 
 def test_reshape_grads():
