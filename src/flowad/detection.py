@@ -9,8 +9,9 @@ Scoring always takes raw (unnormalized) windows or frames; the runtime
 applies the checkpoint's normalization internally, so calibration, batch
 evaluation, and the stream all share one kernel. Calibration and
 evaluation score blocks of windows; the stream detector runs the LSTM of
-every window in flight as blocks of frames arrive, stepping frame by
-frame, so each verdict waits only for the kernel's tail.
+every window a block of frames touches as the block arrives, in waves of
+one step over all of them, so each verdict waits only for the kernel's
+tail.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ class Verdict:
     window_start: int
     score: float
     is_anomaly: bool
-    inference_us: float  # from the window's last frame to the verdict: the tail
+    inference_us: float  # the wall time of its block's tail call, which it shares
 
 
 @dataclass
@@ -195,12 +196,13 @@ class StreamDetector:
 
     Feed frames with push() in (F, N) blocks of any size; a Verdict comes
     back every stride frames once the first window has filled. The LSTM
-    part of scoring runs as the frames arrive: each of the ceil(T_W / T_S)
-    windows in flight owns one row of a `WindowsInFlight`, restarted at
-    the window's first frame and advanced by every frame, so a verdict
-    pays only the kernel's tail (heads, flow, decoder, L1). Streamed
-    scores equal `ScoringRuntime.l1_error` on the same frames bit for bit,
-    with the same eps draw.
+    part of scoring runs as the frames arrive: every window a block touches
+    is a row of a `WindowsInFlight`, and one LSTM step per wave advances
+    them all, so a block of F frames takes at most min(F, T_W) steps and a
+    verdict pays only the kernel's tail (heads, flow, decoder, L1). The
+    windows a block completes share one tail call. Streamed scores equal
+    `ScoringRuntime.l1_error` on the same frames bit for bit, with the
+    same eps draw, however the frames are split into blocks.
     """
 
     def __init__(self, runtime: ScoringRuntime, calib: CalibrationStats, cfg: DetectorConfig):
@@ -216,16 +218,8 @@ class StreamDetector:
         self.runtime = runtime
         self.calib = calib
         self.cfg = cfg
-        T_W, T_S = cfg.windowing.window_len, cfg.windowing.stride
-        # Window j starts at frame j * T_S and owns row j % slots; the row's
-        # previous owner, window j - slots, has ended by then, as
-        # slots * T_S >= T_W.
-        self._slots = -(-T_W // T_S)
-        self._rows = WindowsInFlight(runtime, self._slots)
-        # The last T_W frames, normalized, at their frame index mod T_W.
-        self._ring = np.zeros((T_W, runtime.config.n_signals), dtype=runtime.dtype)
-        self._count = 0
-        self._stride_ns = 0  # work of the frames since the last stride boundary
+        self._rows = WindowsInFlight(runtime, cfg.windowing.window_len, cfg.windowing.stride)
+        self._stride_ns = 0.0  # work of the frames since the last stride boundary
         self._draw = _eps_stream(runtime, cfg.eps_mode, cfg.eps_seed)
         self.overruns = 0
         # pay first-call costs here, not on the first verdict
@@ -233,57 +227,52 @@ class StreamDetector:
 
     @property
     def frames_seen(self) -> int:
-        return self._count
+        return self._rows.count
 
     def push(self, frames) -> list[Verdict]:
         """Verdicts, in order, of the windows the next raw frames (F, N) complete.
-        The work that overruns count for a frame is its LSTM step plus its
-        share of the block's checks, normalize and projection."""
+
+        The block's LSTM runs in waves (`WindowsInFlight.advance`) and its
+        verdicts share one tail call, whose wall time every verdict carries
+        as `inference_us`. For overruns, a frame's work is its 1/F share of
+        the block's work before the tail, and a verdict's its 1/B share of
+        the tail."""
         t0 = time.perf_counter_ns()
         frames = np.asarray(frames, dtype=np.float64)
-        n = self.runtime.config.n_signals
+        n, rows = self.runtime.config.n_signals, self._rows
+        c0 = rows.count
         if frames.ndim != 2 or frames.shape[1] != n:
-            raise StreamError(
-                f"frame {self._count} has shape {frames.shape[1:]}, expected ({n},)"
-            )
+            raise StreamError(f"frame {c0} has shape {frames.shape[1:]}, expected ({n},)")
         if not np.isfinite(frames).all():
             bad = int(np.isfinite(frames).all(axis=1).argmin())
-            raise StreamError(f"frame {self._count + bad} has a non-finite value: {frames[bad]}")
-        T_W, T_S = self.cfg.windowing.window_len, self.cfg.windowing.stride
-        rows, ring, verdicts = self._rows, self._ring, []
+            raise StreamError(f"frame {c0 + bad} has a non-finite value: {frames[bad]}")
         with np.errstate(over="ignore", invalid="ignore"):
-            xs, xps = rows.project(frames)
+            h, windows = rows.advance(frames)
             t1 = time.perf_counter_ns()
-            share = (t1 - t0) // max(len(frames), 1)
-            for f in range(len(frames)):
-                count = self._count
-                if count % T_S == 0:
-                    rows.restart(count // T_S % self._slots)
-                rows.step(xps[f])
-                ring[count % T_W] = xs[f]
-                self._count = count = count + 1
-                t0, t1 = t1, time.perf_counter_ns()
-                self._stride_ns += t1 - t0 + share
-                # Strides end where windows end, counted back to the stream's start.
-                if (count - T_W) % T_S != 0:
-                    continue
-                stride_ns, self._stride_ns = self._stride_ns, 0
-                if count < T_W:
-                    continue
-                window = np.concatenate((ring[count % T_W :], ring[: count % T_W]))
-                row = (count - T_W) // T_S % self._slots
-                score = score_from_l1(rows.l1(row, window, self._draw()), self.calib)
-                tail_ns = time.perf_counter_ns() - t1
-                # Real time allows one stride period for one stride's frames and
-                # the verdict they complete.
-                work_s = (stride_ns + tail_ns) * 1e-9
-                if self.cfg.stride_period_s is not None and work_s > self.cfg.stride_period_s:
-                    self.overruns += 1
-                    log.warning("stride work took %.3f ms, exceeding the %.3f ms stride period",
-                                work_s * 1000.0, self.cfg.stride_period_s * 1000.0)
-                verdicts.append(Verdict(count - T_W, score, classify(score, self.cfg.theta),
-                                        inference_us=tail_ns / 1000.0))
-                t1 = time.perf_counter_ns()
+            l1 = rows.l1_errors(h, windows, self._draw(len(h))) if len(h) else ()
+        tail_ns = time.perf_counter_ns() - t1
+        T_W, T_S = self.cfg.windowing.window_len, self.cfg.windowing.stride
+        end, verdicts = rows.count, []
+        share = (t1 - t0) / max(end - c0, 1)
+        # Strides end where windows end, counted back to the stream's start.
+        prev = c0
+        for stop in range(c0 + 1 + (T_W - c0 - 1) % T_S, end + 1, T_S):
+            stride_ns, self._stride_ns = self._stride_ns + (stop - prev) * share, 0.0
+            prev = stop
+            if stop < T_W:
+                continue
+            # Real time allows one stride period for one stride's frames and
+            # the verdict they complete.
+            work_s = (stride_ns + tail_ns / len(l1)) * 1e-9
+            period = self.cfg.stride_period_s
+            if period is not None and work_s > period:
+                self.overruns += 1
+                log.warning("stride work took %.3f ms, exceeding the %.3f ms stride period",
+                            work_s * 1000.0, period * 1000.0)
+            score = score_from_l1(float(l1[len(verdicts)]), self.calib)
+            verdicts.append(Verdict(stop - T_W, score, classify(score, self.cfg.theta),
+                                    inference_us=tail_ns / 1000.0))
+        self._stride_ns += (end - prev) * share
         return verdicts
 
 

@@ -19,9 +19,10 @@ single-window result bit for bit, at every B.
 
 `WindowsInFlight` is the same kernel cut at the same seams for a stream:
 it projects each block of frames in one call, runs `autodiff.lstm_step`
-frame by frame over the states of every window in flight, and `_tail_l1`
-when a window completes. It makes the very products the batch kernel
-makes, so streamed and batch scoring of a window are bit-identical.
+in waves over every window the block touches, each window's row taking
+its next frame per wave, and `_tail_l1` once over the windows the block
+completes. It makes the very products the batch kernel makes, so
+streamed and batch scoring of a window are bit-identical.
 """
 
 from __future__ import annotations
@@ -173,48 +174,127 @@ class ScoringRuntime:
 
 
 class WindowsInFlight:
-    """The LSTM states of k overlapping windows of one frame stream, a
-    (1, H) row each in one (k, 1, H) array, all advanced one frame at a
-    time: the stream's part of `_forward_l1`, split at the same seams.
+    """The LSTM states of the overlapping windows of one frame stream: the
+    stream's part of `_forward_l1`, split at the same seams.
 
-    `project` projects a block of frames, a gemv per frame as in a batch;
-    `step` runs one `lstm_step` over all k rows; `l1` runs `_tail_l1` on
-    one row. So a window whose row was `restart`ed at its first frame
-    scores bit for bit what `ScoringRuntime.l1_error` gives for the same
-    frames. A value beyond the scoring dtype's range makes the rows it
-    reaches non-finite until they restart, under the caller's np.errstate.
+    With window T_W and stride T_S, window j starts at frame j * T_S and
+    keeps its (1, H) state between blocks in slot row j % slots of one
+    (rows, 1, H) array, slots = ceil(T_W / T_S): a slot's previous owner
+    has ended when the next one starts. `advance` projects a block of F
+    frames in one call and feeds them in waves, one `lstm_step` over every
+    row per wave. A window open at the block's first frame keeps its slot
+    row and takes frame w at wave w; a window that starts later in the
+    block, at frame a, gets a zeroed row of its own after the slot rows
+    and takes frame a + w. So a block costs as many steps as the most
+    frames any window takes from it, at most min(F, T_W). A row is copied
+    out at the wave of its last frame in the block: a completed window's
+    state for `l1_errors` (`_tail_l1`), and a started window's state for
+    its slot at the block's end. Every product is the gemv per frame or per row
+    that the batch kernel makes, so a window scores bit for bit what
+    `ScoringRuntime.l1_error` gives for the same frames. A value beyond
+    the scoring dtype's range makes the rows it reaches non-finite until
+    they restart, under the caller's np.errstate.
     """
 
-    def __init__(self, runtime: ScoringRuntime, k: int):
-        dt, H = runtime.dtype, runtime.config.hidden_size
+    def __init__(self, runtime: ScoringRuntime, window_len: int, stride: int):
+        dt, N, H = runtime.dtype, runtime.config.n_signals, runtime.config.hidden_size
+        self.count = 0  # frames fed so far
+        self._T = (window_len, stride, -(-window_len // stride))
         self._runtime = runtime
-        w_x, w_h, b_g, *self._tail = runtime._weights
+        w_x, self._w_h, b_g, *self._tail = runtime._weights
         self._proj = (w_x, b_g.reshape(1, 1, -1))  # no broadcast at one frame
-        self._acts = np.empty((k, 1, 4 * H), dtype=dt)
-        self._h = np.zeros((k, 1, H), dtype=dt)
-        self._c = np.zeros_like(self._h)
-        # `lstm_step`'s operands, built once; the states update in place.
-        self._step = (self._acts, *lstm_gates(self._acts), self._h, self._c, self._h,
-                      self._c, np.empty_like(self._h), w_h, np.array(0.5, dtype=dt))
-        self._zero_eps = np.zeros((1, runtime.config.latent_size), dtype=dt)
+        self._half = np.array(0.5, dtype=dt)
+        # Normalized frames from frame `_first` on: the last T_W before the
+        # block, then the block; shifted to the front when a block overruns.
+        self._hist, self._first = np.zeros((2 * window_len, N), dtype=dt), -window_len
+        self._no_windows = np.empty((0, window_len, N), dtype=dt)
+        self._h = self._c = np.zeros((self._T[2], 1, H), dtype=dt)
+        self._grow(self._T[2])
 
-    def restart(self, row: int):
-        """Zero row `row`'s state: its window starts with the next frame."""
-        self._h[row] = 0.0
-        self._c[row] = 0.0
+    def _grow(self, rows: int):
+        """Room for `rows` rows, the slot rows first, their states kept."""
+        slots = self._T[2]
+        h, c = np.zeros((2, rows) + self._h.shape[1:], dtype=self._h.dtype)
+        h[:slots], c[:slots] = self._h[:slots], self._c[:slots]
+        # Each completed window is a row, so B <= rows final states fit in `_out`.
+        self._h, self._c, self._tc, self._out = h, c, np.empty_like(h), np.empty_like(h)
+        self._acts = np.empty(h.shape[:-1] + (4 * h.shape[-1],), dtype=h.dtype)
+        self._steps = {}  # `_step`s by row count
 
-    def project(self, frames_raw: np.ndarray):
-        """Raw frames (F, N), normalized, and their pre-activations (F, 1, 4H)."""
-        x = self._runtime.normalize(frames_raw)
-        return x, _project(x, *self._proj)
+    def _step(self, r: int):
+        """`lstm_step`'s operands over the first r rows, made once per r."""
+        a, h, c = self._acts[:r], self._h[:r], self._c[:r]
+        step = self._steps[r] = (a, *lstm_gates(a), h, c, h, c, self._tc[:r], self._w_h,
+                                 self._half)
+        return step
 
-    def step(self, xp: np.ndarray):
-        """Advance every row by one frame's pre-activations xp (1, 4H)."""
-        self._acts[...] = xp
-        lstm_step(*self._step)
+    def advance(self, frames_raw: np.ndarray):
+        """Feed raw frames (F, N). Returns the final states (B, 1, H) and
+        the normalized frames (B, T_W, N) of the B windows they complete,
+        in window order, both valid until the next call."""
+        T_W, T_S, slots = self._T
+        c0, F = self.count, len(frames_raw)
+        end = self.count = c0 + F
+        xn = self._runtime.normalize(frames_raw)
+        xp = _project(xn, *self._proj)
+        if end - self._first > len(self._hist):
+            kept = self._hist[c0 - T_W - self._first : c0 - self._first]
+            if len(self._hist) < T_W + F:
+                self._hist = np.empty((T_W + F,) + xn.shape[1:], dtype=xn.dtype)
+            self._hist[:T_W], self._first = kept, c0 - T_W
+        self._hist[c0 - self._first : end - self._first] = xn
+        done = range(max(0, (c0 - T_W) // T_S + 1), (end - T_W) // T_S + 1)
+        later = range(c0 // T_S + 1, (end - 1) // T_S + 1)  # windows that start after c0
+        if c0 % T_S == 0:
+            self._h[c0 // T_S % slots] = self._c[c0 // T_S % slots] = 0.0
+        # `outs` and `keeps` map a wave to the rows to copy out after it:
+        # (row, index into hs) for a completed window, (row, its slot) for
+        # a window that started in the block and runs on.
+        outs, keeps, kept = {}, {}, []
+        # A slot row whose window runs past the block takes all F frames.
+        waves = F if later.start > max(done.start, done.stop) else 0
+        for b, j in enumerate(done):
+            r, last = ((j % slots, j * T_S + T_W - c0 - 1) if j < later.start
+                       else (slots + j - later.start, T_W - 1))
+            outs.setdefault(last, []).append((r, b))
+            waves = max(waves, last + 1)
+        if later:
+            if len(self._h) < slots + len(later):
+                self._grow(slots + len(later))
+            self._h[slots:] = self._c[slots:] = 0.0
+            offs = [j * T_S - c0 for j in later]  # row slots + i takes frame offs[i] + w
+            for r, a in enumerate(offs, slots):
+                if a + T_W > F:
+                    keeps.setdefault(F - a - 1, []).append((r, (c0 + a) // T_S % slots))
+                    waves = max(waves, F - a)
+            frame_at = np.add.outer(np.arange(waves), [0] * slots + offs)
+        h, c, hs = self._h, self._c, self._out[: len(done)]
+        step = self._steps.get(slots + len(later)) or self._step(slots + len(later))
+        acts = step[0]
+        for w in range(waves):
+            if later:
+                np.take(xp, frame_at[w], axis=0, out=acts, mode="clip")
+            else:
+                acts[...] = xp[w]
+            lstm_step(*step)
+            if w in outs:
+                for r, b in outs[w]:
+                    hs[b] = h[r]
+            if w in keeps:
+                kept += [(s, h[r].copy(), c[r].copy()) for r, s in keeps[w]]
+        for s, h_s, c_s in kept:
+            h[s], c[s] = h_s, c_s
+        if not done:
+            return hs, self._no_windows
+        o = done.start * T_S - self._first  # the first completed window's first frame
+        if len(done) == 1:
+            return hs, self._hist[None, o : o + T_W]
+        return hs, self._hist[np.add.outer(range(o, o + len(done) * T_S, T_S), range(T_W))]
 
-    def l1(self, row: int, x: np.ndarray, eps=None) -> float:
-        """L1 error of the window whose state is row `row`, with x its
-        normalized (T, N) frames and eps (D,) or None."""
-        e = self._zero_eps if eps is None else np.asarray(eps, dtype=self._h.dtype)[None]
-        return float(_tail_l1(self._h[row : row + 1], x[None], *self._tail, e)[0])
+    def l1_errors(self, h: np.ndarray, windows: np.ndarray, eps=None) -> np.ndarray:
+        """L1 errors (B,) of windows that `advance` completed, from their
+        final states h (B, 1, H) and normalized frames (B, T_W, N), with
+        eps (B, D) or None."""
+        e = (np.zeros((len(h), self._tail[0].shape[1]), dtype=h.dtype) if eps is None
+             else np.asarray(eps, dtype=h.dtype))
+        return _tail_l1(h, windows, *self._tail, e)

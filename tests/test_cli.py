@@ -736,6 +736,92 @@ def test_frame_line_parses_to_a_finite_frame_or_input_error(line):
         list(frame_blocks(io.BytesIO(data), n + 1))
 
 
+def _whole_text_frames(text: bytes, n: int):
+    """The frames of a frame stream read as one text, and the 1-based
+    number of the line that ends it early (None if none does)."""
+    frames, expected = [], 0
+    for no, line in enumerate(text.splitlines(), 1):
+        line = line.decode("utf-8", "surrogateescape").strip()
+        if not line:
+            continue
+        cells = line.split(",")
+        try:
+            idx, values = int(cells[0]), [float(c) for c in cells[1:]]
+        except ValueError:
+            return frames, no
+        if len(values) != n or not all(map(np.isfinite, values)) or idx != expected:
+            return frames, no
+        frames.append(values)
+        expected += 1
+    return frames, None
+
+
+class _CountedReads(_Reads):
+    def __init__(self, chunks):
+        super().__init__(chunks)
+        self.reads = 0
+
+    def read1(self, size):
+        self.reads += 1
+        return super().read1(size)
+
+
+_PLAIN_CELLS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                         st.floats(-1e3, 1e3).map("{:.3f}".format),
+                         st.sampled_from(["1e5", "-0.0", "+3", ".5", "5.", "007"]))
+# Cells the bulk parse must hand to the line loop, of its bytes or not;
+# " 2 " and "1_0" parse.
+_ODD_CELLS = st.one_of(st.sampled_from(["1e999", "-1e999", "", "1e", "--1", "."]),
+                       st.sampled_from(["x", "nan", "-inf", " 2 ", "1_0", "\udcff"]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(n=st.integers(1, 3), data=st.data())
+def test_frame_blocks_of_any_reads_are_the_whole_texts_each_line_out_by_its_read_end(n, data):
+    count = data.draw(st.integers(0, 16))
+    lines = [",".join([str(k), *data.draw(st.lists(_PLAIN_CELLS, min_size=n, max_size=n))])
+             for k in range(count)]
+    if lines and data.draw(st.booleans()):  # an odd cell, width or index on one line
+        k = data.draw(st.integers(0, count - 1))
+        head, _, last = lines[k].rpartition(",")
+        odd = f"{head},{data.draw(_ODD_CELLS)}"
+        lines[k] = data.draw(st.sampled_from([odd, odd, head, f"{lines[k]},{last}",
+                                              f"{k + 1},{lines[k].partition(',')[2]}"]))
+    for k in sorted(data.draw(st.lists(st.integers(0, len(lines)), max_size=4)), reverse=True):
+        lines.insert(k, data.draw(st.sampled_from(["", "", "  "])))
+    ends = data.draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                              min_size=len(lines), max_size=len(lines)))
+    text = "".join(map(str.__add__, lines, ends)).encode("utf-8", "surrogateescape")
+    if text and data.draw(st.booleans()):
+        text = text.rstrip(b"\r\n")  # the last line ends at EOF
+    # Few reads of many lines take the bulk parse, many short ones the line loop.
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(text)),
+                                     max_size=data.draw(st.sampled_from([0, 1, 2, 8])))))
+    chunks = [text[a:b] for a, b in zip([0, *cuts], [*cuts, len(text)]) if b > a]
+    source = _CountedReads(chunks)
+    blocks, error = [], None
+    try:
+        for block in frame_blocks(source, n):
+            blocks.append((source.reads, block))
+    except InputError as e:
+        error = str(e)
+    want, bad_line = _whole_text_frames(text, n)
+    got = np.concatenate([b for _, b in blocks]) if blocks else np.empty((0, n))
+    assert got.dtype == np.float64 and got.shape == (len(want), n)
+    assert got.tobytes() == np.array(want, dtype=np.float64).reshape(-1, n).tobytes()
+    assert (error or "").startswith("" if bad_line is None else f"stream line {bad_line}: ")
+    assert (error is None) == (bad_line is None)
+    # After read r, every frame whose line ended within reads 1..r is out.
+    for r in range(1, len(chunks) + 1):
+        done, _ = _whole_text_frames(_ended_lines(b"".join(chunks[:r])), n)
+        assert sum(len(b) for reads, b in blocks if reads <= r) >= len(done)
+
+
+def _ended_lines(text: bytes) -> bytes:
+    """The lines of text that a line end closes, with their ends."""
+    return text[: max(text.rfind(b"\n"), text.rfind(b"\r")) + 1]
+
+
 class TestBench:
     def test_report_written(self, env, tmp_path):
         out = tmp_path / "bench.json"

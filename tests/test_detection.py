@@ -4,6 +4,7 @@ streaming detector."""
 
 import dataclasses
 import math
+import time
 import warnings
 
 import numpy as np
@@ -474,6 +475,50 @@ class TestStreamDetector:
         for frame in trained_small["test_records"][0].frames:
             det.push(frame[None])
         assert det.overruns >= 1
+
+    def test_a_block_steps_the_lstm_at_most_min_of_its_frames_and_t_w_times(
+            self, trained_small, monkeypatch):
+        # T_W=100, T_S=40: a block of F > T_W frames needs only T_W waves.
+        calls = []
+        step = fastpath.lstm_step
+        monkeypatch.setattr(fastpath, "lstm_step", lambda *a: (calls.append(1), step(*a)))
+        frames = np.concatenate([r.frames for r in trained_small["test_records"][:2]])
+        det = self._detector(trained_small)
+        edges = [0, 1, 40, 140, 390, 440]
+        for a, b in zip(edges, edges[1:]):
+            calls.clear()
+            det.push(frames[a:b])
+            assert 0 < len(calls) <= min(b - a, 100)
+
+    @pytest.mark.parametrize("period, overruns", [(None, 0), (1e-12, 4)])
+    def test_a_block_counts_the_overruns_of_its_frames_pushed_one_at_a_time(
+            self, trained_small, period, overruns):
+        frames = trained_small["test_records"][0].frames  # 220 frames: 4 verdicts
+        single = self._detector(trained_small, stride_period_s=period)
+        for frame in frames:
+            single.push(frame[None])
+        blocked = self._detector(trained_small, stride_period_s=period)
+        assert len(blocked.push(frames)) == 4
+        assert single.overruns == blocked.overruns == overruns
+
+    @pytest.mark.parametrize("period_ms, overruns", [(0.1, 0), (0.08, 4)])
+    def test_a_stride_is_its_frames_shares_of_the_block_plus_its_share_of_the_tail(
+            self, trained_small, monkeypatch, period_ms, overruns):
+        # 220 frames, 4 verdicts. On this clock the block's work before the
+        # tail takes 1 us per frame and the tail 50 us per verdict, so each
+        # stride (T_S=40 frames) took 40 + 50 = 90 us.
+        det = self._detector(trained_small, stride_period_s=period_ms / 1000.0)
+        ticks = iter([0, 220_000, 420_000])
+        with monkeypatch.context() as m:
+            m.setattr(time, "perf_counter_ns", lambda: next(ticks))
+            verdicts = det.push(trained_small["test_records"][0].frames)
+        assert [v.inference_us for v in verdicts] == [200.0] * 4
+        assert det.overruns == overruns
+
+    def test_every_verdict_of_a_block_carries_the_blocks_tail_time(self, trained_small):
+        verdicts = self._detector(trained_small).push(trained_small["test_records"][0].frames)
+        assert len(verdicts) == 4
+        assert len({v.inference_us for v in verdicts}) == 1 and verdicts[0].inference_us > 0
 
     def test_overflowing_frame_poisons_only_the_windows_that_contain_it(self, trained_small):
         # T_W=100, T_S=40: three rows, and row 0 sits idle over frames
