@@ -20,6 +20,7 @@ import time
 import traceback
 import types
 import typing
+from array import array
 from dataclasses import asdict
 from pathlib import Path
 
@@ -341,8 +342,9 @@ def cmd_detect(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     calib = _loaded_calibration(ckpt)
     detect_sec = _detect_section(cfg, args)
-    if detect_sec["threshold"] is not None and args.target_fpr is not None:
-        raise InputError("give either --threshold or --target-fpr, not both")
+    if detect_sec["threshold"] is not None and detect_sec["target_fpr"] is not None:
+        raise InputError("give either a threshold or a target_fpr, not both (flags and "
+                         "the config's detect section together set both)")
     if detect_sec["threshold"] is not None:
         theta = float(detect_sec["threshold"])
     elif detect_sec["target_fpr"] is not None:
@@ -371,7 +373,7 @@ def cmd_detect(args) -> int:
         raise InputError(f"cannot write --metrics-out {args.metrics_out}: {e.strerror}") \
             from None
     # With --metrics-out, each frame's share of its push and each tail are kept.
-    push_us, tail_us = [], []
+    push_us, tail_us = array("d"), array("d")
     blocks = anomalies = rejected = 0
     try:
         for frames in frame_blocks(source, runtime.config.n_signals):
@@ -379,13 +381,12 @@ def cmd_detect(args) -> int:
             t0 = time.perf_counter_ns()
             verdicts = detector.push(frames)
             if metrics_fh is not None:
-                push_us += [(time.perf_counter_ns() - t0) / 1000.0 / len(frames)] * len(frames)
+                share = (time.perf_counter_ns() - t0) / 1000.0 / len(frames)
+                push_us.extend([share] * len(frames))
                 tail_us.extend(v.inference_us for v in verdicts)
                 anomalies += sum(v.is_anomaly for v in verdicts)
-            for verdict in verdicts:
-                _print_verdict(verdict)
             if verdicts:
-                sys.stdout.flush()
+                _write_verdicts(verdicts)
     except (InputError, StreamError):
         rejected = 1  # a frame that cannot be parsed or scored ends the stream
         raise
@@ -410,18 +411,23 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def _print_verdict(verdict):
-    # NaN and Infinity are not JSON: such a score is written as null, and
-    # the verdict stays anomalous (`classify`).
-    score = verdict.score if math.isfinite(verdict.score) else None
-    if score is None:
-        print(
-            f"warning: window_start {verdict.window_start} has a non-finite "
-            "score; flagged anomalous",
-            file=sys.stderr,
-        )
-    print(json.dumps({"window_start": verdict.window_start, "score": score,
-                      "is_anomaly": verdict.is_anomaly, "inference_us": verdict.inference_us}))
+def _write_verdicts(verdicts):
+    """A block's verdict lines, each the bytes of `json.dumps` of its
+    fields, in one write and one flush. NaN and Infinity are not JSON: such
+    a score is written as null, and the verdict stays anomalous (`classify`)."""
+    lines = []
+    for v in verdicts:
+        if math.isfinite(v.score):
+            score = float.__repr__(v.score)
+        else:
+            score = "null"
+            print(f"warning: window_start {v.window_start} has a non-finite score; "
+                  "flagged anomalous", file=sys.stderr)
+        lines.append(f'{{"window_start": {v.window_start}, "score": {score}, "is_anomaly": '
+                     f'{"true" if v.is_anomaly else "false"}, "inference_us": '
+                     f'{float.__repr__(v.inference_us)}}}\n')
+    sys.stdout.write("".join(lines))
+    sys.stdout.flush()
 
 
 def _p50_p99(samples_us) -> dict:

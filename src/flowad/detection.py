@@ -218,7 +218,8 @@ class StreamDetector:
         self.runtime = runtime
         self.calib = calib
         self.cfg = cfg
-        self._rows = WindowsInFlight(runtime, cfg.windowing.window_len, cfg.windowing.stride)
+        self._T = (cfg.windowing.window_len, cfg.windowing.stride)
+        self._rows = WindowsInFlight(runtime, *self._T)
         self._stride_ns = 0.0  # work of the frames since the last stride boundary
         self._draw = _eps_stream(runtime, cfg.eps_mode, cfg.eps_seed)
         self.overruns = 0
@@ -249,10 +250,9 @@ class StreamDetector:
         with np.errstate(over="ignore", invalid="ignore"):
             h, windows = rows.advance(frames)
             t1 = time.perf_counter_ns()
-            l1 = rows.l1_errors(h, windows, self._draw(len(h))) if len(h) else ()
+            l1 = rows.l1_errors(h, windows, self._draw(len(h))).tolist() if len(h) else ()
         tail_ns = time.perf_counter_ns() - t1
-        T_W, T_S = self.cfg.windowing.window_len, self.cfg.windowing.stride
-        end, verdicts = rows.count, []
+        (T_W, T_S), end, verdicts = self._T, rows.count, []
         share = (t1 - t0) / max(end - c0, 1)
         # Strides end where windows end, counted back to the stream's start.
         prev = c0
@@ -269,15 +269,9 @@ class StreamDetector:
                 self.overruns += 1
                 log.warning("stride work took %.3f ms, exceeding the %.3f ms stride period",
                             work_s * 1000.0, period * 1000.0)
-            score = score_from_l1(float(l1[len(verdicts)]), self.calib)
+            score = score_from_l1(l1[len(verdicts)], self.calib)
             verdicts.append(Verdict(stop - T_W, score, classify(score, self.cfg.theta),
-                                    inference_us=tail_ns / 1000.0))
+                                    tail_ns / 1000.0))
         self._stride_ns += (end - prev) * share
         return verdicts
 
-
-def stream_detect(frames, runtime: ScoringRuntime, calib: CalibrationStats, cfg: DetectorConfig):
-    """Run a StreamDetector over an iterable of frames, yielding Verdicts."""
-    det = StreamDetector(runtime, calib, cfg)
-    for frame in frames:
-        yield from det.push(np.asarray(frame)[None])

@@ -16,7 +16,13 @@ import pytest
 from flowad.autodiff import value_and_grad
 from flowad.cli import main as cli_main
 from flowad.data import NormStats, WindowingConfig, sliding_windows, window_count
-from flowad.detection import CalibrationStats, DetectorConfig, calibrate, score_from_l1, stream_detect
+from flowad.detection import (
+    CalibrationStats,
+    DetectorConfig,
+    StreamDetector,
+    calibrate,
+    score_from_l1,
+)
 from flowad.evaluation import auroc, bench_latency, roc_curve, run_ablation, trapezoid_auc
 from flowad.fastpath import BACKEND, ScoringRuntime
 from flowad.losses import loss_discriminator, loss_generator
@@ -172,7 +178,8 @@ class TestCriterion4StreamingBatchEquivalence:
                 score_from_l1(runtime.l1_error(w.values), calib)
                 for w in sliding_windows(record, windowing)
             ]
-            streamed = [v.score for v in stream_detect(record.frames, runtime, calib, cfg)]
+            det = StreamDetector(runtime, calib, cfg)
+            streamed = [v.score for frame in record.frames for v in det.push(frame[None])]
             expected_n = (record.n_frames - windowing.window_len) // windowing.stride + 1
             all_equal &= streamed == batch and len(streamed) == expected_n
             checked += len(streamed)

@@ -1,12 +1,16 @@
 """End-to-end CLI tests: the gen-data -> train -> calibrate -> eval ->
 detect -> bench chain, exit codes, and byte-level reproducibility."""
 
+import contextlib
 import dataclasses
 import io
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 import types
 
 import numpy as np
@@ -15,9 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowad.checkpoint import load_checkpoint, save_checkpoint
-from flowad.cli import _config, main
+from flowad.cli import _config, _write_verdicts, main
 from flowad.data import WindowingConfig, frame_blocks, load_records, manifest_path, save_records
-from flowad.detection import CalibrationStats, DetectorConfig, stream_detect
+from flowad.detection import CalibrationStats, DetectorConfig, StreamDetector, Verdict
 from flowad.errors import InputError
 from flowad.evaluation import per_type_auroc, roc_curve, score_records
 from flowad.fastpath import ScoringRuntime
@@ -555,6 +559,48 @@ class TestDetect:
         assert doc["blocks"] == 1  # the short line ends the read's block
         assert doc["tail_us"] == {"p50": None, "p99": None}
 
+    @pytest.mark.parametrize("section, flags", [
+        ({"threshold": 1.0, "target_fpr": 0.1}, []),
+        ({"target_fpr": 0.1}, ["--threshold", "1.0"]),
+        ({"threshold": 1.0}, ["--target-fpr", "0.1"]),
+    ], ids=["config-both", "config-fpr-flag-threshold", "config-threshold-flag-fpr"])
+    def test_a_threshold_and_a_target_fpr_from_anywhere_exit_2_naming_both(
+            self, env, tmp_path, capsys, section, flags):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**CONFIG, "detect": section}))
+        frames = _frames_file(env, tmp_path / "frames.txt")
+        assert main(["detect", "--config", str(cfg), "--checkpoint", env["ckpt"],
+                     "--input", str(frames), *flags]) == 2
+        err = capsys.readouterr().err
+        assert "threshold" in err and "target_fpr" in err
+
+    def test_one_write_and_one_flush_per_block_with_verdicts(self, env, tmp_path, monkeypatch):
+        # Windows end at frames 39, 59, 79 and 99: of the four reads, the
+        # second completes one window and the last three.
+        monkeypatch.setattr(sys, "stdin", types.SimpleNamespace(buffer=_Reads(_frame_reads(
+            env, tmp_path, (30, 45, 50)))))
+        stdout = _CountedStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["detect", "--config", env["cfg"], "--checkpoint", env["ckpt"],
+                     "--input", "-", "--threshold", "3.0"]) == 0
+        assert [text.count("\n") for text in stdout.writes] == [1, 3]
+        assert stdout.flushes == 2
+
+    def test_metrics_out_bytes_on_a_fixed_clock(self, env, tmp_path, monkeypatch):
+        # Each clock read advances 1 us, which fixes every push and tail
+        # time. These are the bytes the detector wrote when it kept its
+        # samples in lists of floats.
+        monkeypatch.setattr(sys, "stdin", types.SimpleNamespace(buffer=_Reads(_frame_reads(
+            env, tmp_path, (30, 45, 50)))))
+        ticks = itertools.count(0, 1000)
+        monkeypatch.setattr(time, "perf_counter_ns", lambda: next(ticks))
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.setenv(var, "1")
+        metrics = tmp_path / "metrics.json"
+        assert main(["detect", "--config", env["cfg"], "--checkpoint", env["ckpt"], "--input",
+                     "-", "--threshold", "1e9", "--metrics-out", str(metrics)]) == 0
+        assert metrics.read_text() == _FIXED_CLOCK_METRICS
+
     def test_metrics_out_into_a_directory_exits_2(self, env, tmp_path, capsys):
         frames = _frames_file(env, tmp_path / "frames.txt")
         code = main(["detect", "--config", env["cfg"], "--checkpoint", env["ckpt"],
@@ -562,6 +608,74 @@ class TestDetect:
                      "--metrics-out", str(tmp_path)])
         assert code == 2
         assert f"cannot write --metrics-out {tmp_path}" in capsys.readouterr().err
+
+
+# Four reads of 30, 15, 5 and 50 frames: each frame's push time is 4 us over
+# its read's frame count, and each tail takes 1 us.
+_FIXED_CLOCK_METRICS = (
+    '{\n'
+    '  "anomalies": 0,\n'
+    '  "backend": "numpy",\n'
+    '  "blas_threads": {\n'
+    '    "MKL_NUM_THREADS": "1",\n'
+    '    "OMP_NUM_THREADS": "1",\n'
+    '    "OPENBLAS_NUM_THREADS": "1"\n'
+    '  },\n'
+    '  "blocks": 4,\n'
+    '  "frames": 100,\n'
+    '  "overruns": 0,\n'
+    '  "push_us": {\n'
+    '    "p50": 0.10666666666666666,\n'
+    '    "p99": 0.8\n'
+    '  },\n'
+    '  "rejected_frames": 0,\n'
+    '  "tail_us": {\n'
+    '    "p50": 1.0,\n'
+    '    "p99": 1.0\n'
+    '  },\n'
+    '  "verdicts": 4\n'
+    '}\n'
+)
+
+
+def _frame_reads(env, tmp_path, edges):
+    """The lines of `_frames_file` cut into reads at the given frames."""
+    lines = _frames_file(env, tmp_path / "frames.txt").read_bytes().splitlines(keepends=True)
+    bounds = (0, *edges, len(lines))
+    return [b"".join(lines[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+class _CountedStdout:
+    def __init__(self):
+        self.writes, self.flushes = [], 0
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        self.flushes += 1
+
+
+_SCORES = st.one_of(st.floats(),
+                    st.sampled_from([-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf]))
+
+
+@settings(deadline=None)
+@given(st.lists(st.builds(Verdict, st.integers(0, 2**70), _SCORES, st.booleans(),
+                          st.floats(0.0, 1e9)), max_size=12))
+def test_a_blocks_verdict_lines_are_the_json_dumps_of_their_fields(verdicts):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        _write_verdicts(verdicts)
+    assert out.getvalue() == "".join(
+        json.dumps({"window_start": v.window_start,
+                    "score": v.score if math.isfinite(v.score) else None,
+                    "is_anomaly": v.is_anomaly, "inference_us": v.inference_us}) + "\n"
+        for v in verdicts)
+    assert err.getvalue() == "".join(
+        f"warning: window_start {v.window_start} has a non-finite score; flagged anomalous\n"
+        for v in verdicts if not math.isfinite(v.score))
 
 
 def _verdicts(stdout: str) -> list[dict]:
@@ -599,7 +713,8 @@ def test_file_and_stdin_give_the_verdicts_of_frame_at_a_time_scoring(env, tmp_pa
     calib = CalibrationStats.from_dict(loaded.calibration)
     det_cfg = DetectorConfig(theta=3.0, windowing=WindowingConfig(40, 20), eps_mode=eps_mode,
                              eps_seed=3 if eps_mode == "sample" else 0)
-    one_at_a_time = stream_detect(rows, ScoringRuntime.from_checkpoint(loaded), calib, det_cfg)
+    det = StreamDetector(ScoringRuntime.from_checkpoint(loaded), calib, det_cfg)
+    one_at_a_time = [v for frame in rows for v in det.push(frame[None])]
     assert _verdicts(from_file.stdout.decode()) == [
         {"window_start": v.window_start, "score": v.score, "is_anomaly": v.is_anomaly}
         for v in one_at_a_time

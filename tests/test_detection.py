@@ -21,7 +21,6 @@ from flowad.detection import (
     calibrate,
     classify,
     score_from_l1,
-    stream_detect,
     threshold_for_fpr,
 )
 from flowad.errors import InputError, StreamError
@@ -159,7 +158,7 @@ def _kernel_windows(trained_small):
 
 
 def _scalar_forward_l1(x, w_x, w_h, b_g, mu_w, mu_b, lv_w, lv_b,
-                       enc_w, enc_b, dec_w, dec_b, alpha_e,
+                       flow, alpha_e, zero,
                        d1_w, d1_b, d2_w, d2_b, eps):
     """L1 between the normalized window x (T, N) and its reconstruction,
     one unit at a time: the interpreted reference for `fastpath._forward_l1`,
@@ -200,12 +199,12 @@ def _scalar_forward_l1(x, w_x, w_h, b_g, mu_w, mu_b, lv_w, lv_b,
     for d in range(z.shape[0]):
         if eps[d] != 0.0:
             z[d] = z[d] + math.exp(0.5 * lv[d]) * eps[d]
-    for k in range(enc_w.shape[0]):
-        hid = np.dot(z, enc_w[k]) + enc_b[k]
+    for enc_w, enc_b, dec_w, dec_b in flow:
+        hid = np.dot(z, enc_w) + enc_b
         for u in range(hid.shape[0]):
             if hid[u] < 0.0:
                 hid[u] = 0.0
-        mu_k = np.dot(hid, dec_w[k]) + dec_b[k]
+        mu_k = np.dot(hid, dec_w) + dec_b
         z = z * alpha_e + mu_k
     d1 = np.dot(z, d1_w) + d1_b
     for u in range(d1.shape[0]):
@@ -219,6 +218,26 @@ def _scalar_forward_l1(x, w_x, w_h, b_g, mu_w, mu_b, lv_w, lv_b,
             total += abs(flat[idx] - x[t, j])
             idx += 1
     return total
+
+
+def _out_of_place_tail_l1(h, x, mu_w, mu_b, lv_w, lv_b, flow, alpha_e, zero,
+                          d1_w, d1_b, d2_w, d2_b, eps):
+    """`fastpath._tail_l1` with every op making a new array, eps always an
+    array, and the errors cast to float64 before they are summed: the
+    reference for the in-place tail, which must give the same bits."""
+    lead = x.shape[:-2]
+    z = np.matmul(h, mu_w) + mu_b
+    eps = eps.reshape(lead + (1, -1))
+    nz = eps != 0.0
+    if nz.any():
+        lv = np.matmul(h, lv_w) + lv_b
+        z[nz] += np.exp(0.5 * lv[nz]) * eps[nz]
+    for enc_w, enc_b, dec_w, dec_b in flow:
+        hid = np.maximum(np.matmul(z, enc_w) + enc_b, 0.0)
+        z = z * alpha_e + (np.matmul(hid, dec_w) + dec_b)
+    d1 = np.maximum(np.matmul(z, d1_w) + d1_b, 0.0)
+    flat = np.matmul(d1, d2_w) + d2_b
+    return np.abs(flat - x.reshape(flat.shape)).astype(np.float64).sum(axis=-1).reshape(lead)
 
 
 class TestScoringKernel:
@@ -277,6 +296,39 @@ class TestScoringKernel:
             ])
             assert got.dtype == np.float64
             assert got.tobytes() == want.tobytes(), f"B={B}"
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("eps_mode", ["zero", "sample"])
+    @pytest.mark.parametrize("model", ["trained_small", "default_size_alpha"])
+    def test_l1_errors_keep_the_bits_of_the_out_of_place_tail_at_every_b(
+            self, trained_small, dtype, eps_mode, model):
+        # Stream blocks complete 1 to about 10 windows and batch scoring
+        # takes 32 per call, so B = 1..33 covers every B the code uses. The
+        # default-size model has alpha_e != 1, so the flow's scaling counts.
+        rng = np.random.default_rng(8)
+        if model == "trained_small":
+            cfg, result = trained_small["model_cfg"], trained_small["result"]
+            arrays, norm = result.generator.arrays, result.norm_stats
+            windows = np.stack([w.values for w in _train_windows(trained_small)[:33]])
+        else:
+            cfg = ModelConfig(n_signals=12, window_len=150, alpha_const=0.5)
+            arrays = init_generator(cfg, rng).arrays
+            norm = NormStats(mean=rng.standard_normal(12), std=rng.uniform(0.5, 2.0, 12))
+            windows = norm.mean + norm.std * rng.standard_normal((33, 150, 12))
+        runtime = fastpath.ScoringRuntime(cfg, arrays, norm, dtype=dtype)
+        eps = np.zeros((33, cfg.latent_size))
+        if eps_mode == "sample":
+            eps = rng.standard_normal((33, cfg.latent_size))
+        w_x, w_h, b_g, *tail = runtime._weights
+        for B in range(1, 34):
+            xn = runtime.normalize(windows[:B])
+            xp = fastpath._project(xn, w_x, b_g)
+            h = fastpath.lstm_steps(np.moveaxis(xp, -3, 0), w_h)[0][-1]
+            want = _out_of_place_tail_l1(h, xn, *tail, eps[:B].astype(dtype))
+            got = runtime.l1_errors(windows[:B], eps[:B])
+            assert got.tobytes() == want.tobytes(), f"B={B}"
+            if eps_mode == "zero":  # None skips the eps mask, with the same bits
+                assert runtime.l1_errors(windows[:B]).tobytes() == want.tobytes(), f"B={B}"
 
     def test_l1_errors_rejects_bad_shapes(self, trained_small):
         runtime = trained_small["runtime"]
@@ -337,6 +389,12 @@ class TestThresholdForFpr:
             threshold_for_fpr(CalibrationStats(mu=0.0, sigma=1.0), 0.05)
 
 
+def _one_frame_pushes(frames, runtime, calib, cfg):
+    """The verdicts of a new StreamDetector fed one frame per push."""
+    det = StreamDetector(runtime, calib, cfg)
+    return [v for frame in frames for v in det.push(frame[None])]
+
+
 class TestStreamDetector:
     def _detector(self, trained_small, theta=3.0, **kw):
         cfg = DetectorConfig(theta=theta, windowing=trained_small["windowing"], **kw)
@@ -370,7 +428,7 @@ class TestStreamDetector:
                 score_from_l1(runtime.l1_error(w.values), calib)
                 for w in sliding_windows(record, windowing)
             ]
-            streamed = [v.score for v in stream_detect(record.frames, runtime, calib, cfg)]
+            streamed = [v.score for v in _one_frame_pushes(record.frames, runtime, calib, cfg)]
             assert streamed == batch  # bitwise, not approx
 
     def test_verdict_flag_follows_threshold(self, trained_small):
@@ -378,7 +436,7 @@ class TestStreamDetector:
         cfg = DetectorConfig(theta=0.0, windowing=trained_small["windowing"])
         scores = [
             v.score
-            for v in stream_detect(
+            for v in _one_frame_pushes(
                 record.frames, trained_small["runtime"], trained_small["calib"], cfg
             )
         ]
@@ -397,8 +455,8 @@ class TestStreamDetector:
         spiked[120:140, 2] += 8.0 * stds[2]
         cfg = DetectorConfig(theta=3.0, windowing=trained_small["windowing"])
         runtime, calib = trained_small["runtime"], trained_small["calib"]
-        max_clean = max(v.score for v in stream_detect(clean.frames, runtime, calib, cfg))
-        max_spiked = max(v.score for v in stream_detect(spiked, runtime, calib, cfg))
+        max_clean = max(v.score for v in _one_frame_pushes(clean.frames, runtime, calib, cfg))
+        max_spiked = max(v.score for v in _one_frame_pushes(spiked, runtime, calib, cfg))
         assert max_spiked > max_clean
 
     def test_overflowing_frames_give_anomalous_nan_verdicts(self, trained_small):
@@ -465,7 +523,7 @@ class TestStreamDetector:
             cfg = DetectorConfig(
                 theta=3.0, windowing=windowing, eps_mode="sample", eps_seed=seed
             )
-            return [v.score for v in stream_detect(frames, runtime, calib, cfg)]
+            return [v.score for v in _one_frame_pushes(frames, runtime, calib, cfg)]
 
         assert run(7) == run(7)
         assert run(7) != run(8)
@@ -567,7 +625,7 @@ def test_streamed_verdicts_equal_l1_error_on_the_same_slice(
                              eps_mode=eps_mode, eps_seed=seed)
     frames = rng.standard_normal((window_len + extra_strides * stride + stride - 1, 3)) * 3.0
     eps_rng = np.random.default_rng(seed)
-    verdicts = list(stream_detect(frames, runtime, calib, det_cfg))
+    verdicts = _one_frame_pushes(frames, runtime, calib, det_cfg)
     assert len(verdicts) == extra_strides + 1
     for j, v in enumerate(verdicts):
         assert v.window_start == j * stride
