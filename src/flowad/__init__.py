@@ -4,16 +4,37 @@ An adversarial autoencoder whose latent code is reshaped by a masked
 autoregressive flow, trained on normal data only, with an L1 sparsity
 penalty on the encoder. Windows are scored by standardized
 reconstruction error against statistics calibrated on normal data.
+
+The names below are re-exported lazily (PEP 562): `import flowad` loads
+none of the modules, and a name's module is imported on its first access,
+so a command that never trains never compiles the training code.
 """
 
-from .data import NormStats, Record, Window, WindowingConfig, sliding_windows, window_count
-from .detection import CalibrationStats, DetectorConfig, StreamDetector, Verdict, calibrate
-from .errors import DatasetError, FlowadError, InputError, NonFiniteError, StreamError
-from .evaluation import auroc, evaluate, iqr_mean, roc_curve, trapezoid_auc
-from .fastpath import ScoringRuntime
-from .model import ModelConfig, init_discriminator, init_generator
-from .synth import SynthConfig, synth_generate
-from .training import TrainConfig, TrainResult, train
+import importlib
+
+# The public names by the module that defines them.
+_NAMES = {
+    "data": ("NormStats", "Record", "Window", "WindowingConfig", "sliding_windows",
+             "window_count"),
+    "detection": ("CalibrationStats", "DetectorConfig", "StreamDetector", "Verdict",
+                  "calibrate"),
+    "errors": ("DatasetError", "FlowadError", "InputError", "NonFiniteError", "StreamError"),
+    "evaluation": ("auroc", "evaluate", "iqr_mean", "roc_curve", "trapezoid_auc"),
+    "fastpath": ("ScoringRuntime",),
+    "model": ("ModelConfig", "init_discriminator", "init_generator"),
+    "synth": ("SynthConfig", "synth_generate"),
+    "training": ("TrainConfig", "TrainResult", "train"),
+}
+_MODULE_OF = {name: module for module, names in _NAMES.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(
+        importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    return value
+
 
 __version__ = "0.1.0"
 

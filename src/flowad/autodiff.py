@@ -251,9 +251,11 @@ def lstm_step(a, s, i, f, o, u, h, c, h_next, c_next, tc, w_h, half):
 
 
 def lstm_steps(acts: np.ndarray, w_h: np.ndarray):
-    """The LSTM recurrence that training (`lstm`) and scoring
-    (`fastpath._forward_l1`) both run, over time-major pre-activations;
-    `lstm_step` is its one step, which the stream detector also runs.
+    """The LSTM recurrence of the training tape's op (`lstm`), over
+    time-major pre-activations, keeping every step's states for backprop
+    through time. `lstm_step` is its one step; scoring
+    (`fastpath._forward_l1`) and the stream detector run that step over
+    one state buffer, since they need only the final state.
 
     acts is (T, ..., 4H): each step's input projection plus bias, with
     the gates [i|f|o|g] and the i/f/o columns halved (`halve_gates`);

@@ -11,15 +11,13 @@ Exit codes: 0 success, 1 runtime failure, 2 invalid input or config.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
-import re
 import sys
 import time
 import traceback
-import types
-import typing
 from array import array
 from dataclasses import asdict
 from pathlib import Path
@@ -27,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from .config import build_config, check_types, config_section, load_config_file
 from .data import (
     LABEL_NORMAL,
     WindowingConfig,
@@ -34,7 +33,6 @@ from .data import (
     frame_blocks,
     load_records,
     record_windows,
-    require_file,
     save_records,
     sliding_windows,  # noqa: F401 - perfbench/launcher.py traces it here
 )
@@ -46,91 +44,34 @@ from .detection import (
     threshold_for_fpr,
 )
 from .errors import FlowadError, InputError, StreamError
-from .evaluation import (
-    BLAS_THREAD_VARS,
-    ablation_train_config,
-    ablation_variants,
-    bench_latency,
-    evaluate,  # noqa: F401 - perfbench/launcher.py traces it here
-    roc_curve,
-    score_records,
-    summarize,
-)
-from .fastpath import BACKEND, ScoringRuntime
+from .fastpath import BACKEND, BLAS_THREAD_VARS, ScoringRuntime
 from .model import ModelConfig
-from .synth import SynthConfig, synth_generate
-from .training import TrainConfig, train
 
 ABLATIONS = ("none", "no-sparsity", "no-flow")
 
-
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        cfg = json.loads(require_file(path, "config file").read_text())
-    except json.JSONDecodeError as e:
-        raise InputError(f"config file is not valid JSON: {e}") from None
-    if not isinstance(cfg, dict):
-        raise InputError("config file must contain a JSON object")
-    return cfg
+# Names that perfbench/launcher.py patches on this module but whose modules
+# `detect` never runs: each is taken from the lazy package on first access,
+# and commands read it as an attribute of this module, so a patched name is
+# what runs.
+_ON_ACCESS = ("train", "evaluate", "roc_curve")
 
 
-def _section(cfg: dict, name: str) -> dict:
-    sec = cfg.get(name, {})
-    if not isinstance(sec, dict):
-        raise InputError(f"config section '{name}' must be an object")
-    return dict(sec)
-
-
-def _fits(value, hint) -> bool:
-    """Whether a JSON value has the type of a field annotated `hint`: an
-    int takes no bool or float, a float also takes an int but not the NaN
-    or Infinity that `json.loads` accepts, a tuple takes a list of its
-    item type, and `X | None` also takes null."""
-    if isinstance(hint, types.UnionType):
-        return any(_fits(value, h) for h in typing.get_args(hint))
-    if typing.get_origin(hint) is tuple:
-        item = typing.get_args(hint)[0]
-        return isinstance(value, list) and all(_fits(v, item) for v in value)
-    if isinstance(value, bool) and hint is not bool:
-        return False
-    if isinstance(value, float) and not math.isfinite(value):
-        return False
-    return isinstance(value, (int, float) if hint is float else hint)
-
-
-def _check_types(name: str, sec: dict, hints: dict) -> dict:
-    for key, value in sec.items():
-        if key not in hints:
-            raise InputError(f"bad {name} config: unknown key '{key}'")
-        if not _fits(value, hints[key]):
-            expected = re.sub(r"<class '(\w+)'>", r"\1", str(hints[key]))
-            raise InputError(f"bad {name} config: {key} must be {expected}, got {value!r}")
-    return sec
-
-
-def _config(cls, cfg: dict, name: str, **flags):
-    """The dataclass `cls` built from config section `name`, with every
-    flag that was given (not None) replacing the file's value."""
-    sec = _section(cfg, name)
-    sec.update((k, v) for k, v in flags.items() if v is not None)
-    _check_types(name, sec, typing.get_type_hints(cls))
-    try:
-        return cls(**sec)
-    except InputError as e:  # a value cls rejects
-        raise InputError(f"bad {name} config: {e}") from None
+def __getattr__(name: str):
+    if name not in _ON_ACCESS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(sys.modules[__package__], name)
+    return value
 
 
 def _model_config(cfg: dict, n_signals: int, window_len: int) -> ModelConfig:
-    sec = _section(cfg, "model")
+    sec = config_section(cfg, "model")
     for key, value in (("n_signals", n_signals), ("window_len", window_len)):
         if sec.get(key) is not None and sec[key] != value:
             raise InputError(
                 f"config model.{key}={sec[key]!r} conflicts with the data/windowing "
                 f"value {value}"
             )
-    return _config(ModelConfig, cfg, "model", n_signals=n_signals, window_len=window_len)
+    return build_config(ModelConfig, cfg, "model", n_signals=n_signals, window_len=window_len)
 
 
 def _checkpoint_windowing(cfg: dict, ckpt) -> WindowingConfig:
@@ -138,9 +79,9 @@ def _checkpoint_windowing(cfg: dict, ckpt) -> WindowingConfig:
     explicit config, the stride recorded in the checkpoint at train
     time, then non-overlapping windows."""
     stored = (ckpt.meta or {}).get("resolved_config", {}).get("windowing", {})
-    strides = (_section(cfg, "windowing").get("stride"), stored.get("stride"))
+    strides = (config_section(cfg, "windowing").get("stride"), stored.get("stride"))
     stride = next((s for s in strides if s is not None), ckpt.config.window_len)
-    return _config(
+    return build_config(
         WindowingConfig, cfg, "windowing", window_len=ckpt.config.window_len, stride=stride
     )
 
@@ -155,12 +96,35 @@ _DETECT_TYPES = {
 
 def _detect_section(cfg: dict, args) -> dict:
     out = {"threshold": None, "target_fpr": None, "eps_mode": "zero", "eps_seed": 0}
-    out.update(_check_types("detect", _section(cfg, "detect"), _DETECT_TYPES))
+    out.update(check_types("detect", config_section(cfg, "detect"), _DETECT_TYPES))
     if getattr(args, "threshold", None) is not None:
         out["threshold"] = args.threshold
     if getattr(args, "target_fpr", None) is not None:
         out["target_fpr"] = args.target_fpr
     return out
+
+
+def _log_path(args) -> str:
+    return args.log if args.log else str(args.out) + ".log.jsonl"
+
+
+def _check_outputs(args):
+    """Exit 2, before a command loads anything, on an output path that
+    cannot become a file: a directory, or one whose directory is missing."""
+    for flag in ("out", "log", "roc_out", "metrics_out"):
+        if flag == "log" and args.command == "train":
+            path = _log_path(args)  # the default too: train writes it last
+        else:
+            path = getattr(args, flag, None)
+        if path is None:
+            continue
+        if os.path.isdir(path):
+            code = errno.EISDIR
+        elif not os.path.isdir(os.path.dirname(path) or "."):
+            code = errno.ENOENT
+        else:
+            continue
+        raise InputError(f"cannot write --{flag.replace('_', '-')} {path}: {os.strerror(code)}")
 
 
 def _write_json(path: str | Path, doc: dict):
@@ -171,8 +135,10 @@ def _write_json(path: str | Path, doc: dict):
 
 
 def cmd_gen_data(args) -> int:
-    cfg = _load_config_file(args.config)
-    synth_cfg = _config(
+    from .synth import SynthConfig, synth_generate
+
+    cfg = load_config_file(args.config)
+    synth_cfg = build_config(
         SynthConfig, cfg, "synth", seed=args.seed, num_normal=args.num_normal,
         num_anomalous=args.num_anomalous,
     )
@@ -184,20 +150,24 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config_file(args.config)
-    windowing = _config(WindowingConfig, cfg, "windowing")
-    train_cfg = _config(TrainConfig, cfg, "train", seed=args.seed)
+    from .training import TrainConfig
+
+    cfg = load_config_file(args.config)
+    windowing = build_config(WindowingConfig, cfg, "windowing")
+    train_cfg = build_config(TrainConfig, cfg, "train", seed=args.seed)
     records = load_records(args.data)
     if args.freq_downsample > 1:
         records = [downsample(r, args.freq_downsample) for r in records]
     n_signals = records[0].n_signals
     model_cfg = _model_config(cfg, n_signals, windowing.window_len)
     if args.ablation != "none":
+        from .evaluation import ablation_train_config, ablation_variants
+
         name = args.ablation.replace("-", "_")
         model_cfg = ablation_variants(model_cfg)[name]
         train_cfg = ablation_train_config(name, train_cfg)
 
-    result = train(records, model_cfg, train_cfg, windowing)
+    result = sys.modules[__name__].train(records, model_cfg, train_cfg, windowing)
 
     resolved = {
         "command": "train",
@@ -217,7 +187,7 @@ def cmd_train(args) -> int:
         calibration=None,
         meta={"resolved_config": resolved},
     )
-    log_path = args.log if args.log else str(args.out) + ".log.jsonl"
+    log_path = _log_path(args)
     with open(log_path, "w") as fh:
         for entry in result.log:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
@@ -239,7 +209,7 @@ def _require_all_normal(records, what: str):
 
 
 def cmd_calibrate(args) -> int:
-    cfg = _load_config_file(args.config)
+    cfg = load_config_file(args.config)
     ckpt = load_checkpoint(args.checkpoint)
     detect_sec = _detect_section(cfg, args)
     records = load_records(args.data)
@@ -301,7 +271,9 @@ def _loaded_calibration(ckpt: Checkpoint) -> CalibrationStats:
 
 
 def cmd_eval(args) -> int:
-    cfg = _load_config_file(args.config)
+    from .evaluation import score_records, summarize
+
+    cfg = load_config_file(args.config)
     ckpt = load_checkpoint(args.checkpoint)
     calib = _loaded_calibration(ckpt)
     records = load_records(args.data)
@@ -324,7 +296,7 @@ def cmd_eval(args) -> int:
     if args.roc_out:
         scores = np.array([r.record_score for r in scored])
         labels = np.array([r.label != LABEL_NORMAL for r in scored])
-        points = roc_curve(scores, labels)
+        points = sys.modules[__name__].roc_curve(scores, labels)
         with open(args.roc_out, "w") as fh:
             fh.write("fpr,tpr\n")
             for fpr, tpr in points:
@@ -338,7 +310,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    cfg = _load_config_file(args.config)
+    cfg = load_config_file(args.config)
     ckpt = load_checkpoint(args.checkpoint)
     calib = _loaded_calibration(ckpt)
     detect_sec = _detect_section(cfg, args)
@@ -442,6 +414,8 @@ def cmd_bench(args) -> int:
         raise InputError(f"--windows must be >= 1, got {args.windows}")
     if args.warmup < 0:
         raise InputError(f"--warmup must be >= 0, got {args.warmup}")
+    from .evaluation import bench_latency
+
     ckpt = load_checkpoint(args.checkpoint)
     if ckpt.calibration is not None:
         calib = CalibrationStats.from_dict(ckpt.calibration)
@@ -552,6 +526,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_outputs(args)
         return args.func(args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -14,6 +14,7 @@ import os
 import platform
 import time
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -26,9 +27,11 @@ from .data import (
 )
 from .detection import CalibrationStats, calibrate, score_from_l1, score_windows
 from .errors import InputError
-from .fastpath import BACKEND, ScoringRuntime
+from .fastpath import BACKEND, BLAS_THREAD_VARS, ScoringRuntime
 from .model import ModelConfig
-from .training import TrainConfig, TrainResult, train
+
+if TYPE_CHECKING:
+    from .training import TrainConfig, TrainResult
 
 log = logging.getLogger(__name__)
 
@@ -47,10 +50,6 @@ class TypeAurocReport:
     per_type: dict[str, float]
     mean: float
     std: float
-
-
-# The environment variables that set the BLAS library's thread count.
-BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass
@@ -329,6 +328,8 @@ def train_and_evaluate(
     windowing: WindowingConfig,
 ) -> tuple[dict, TrainResult]:
     """Train, calibrate on the training windows, evaluate on test."""
+    from .training import train
+
     result = train(train_records, model_cfg, train_cfg, windowing)
     runtime = ScoringRuntime(model_cfg, result.generator.arrays, result.norm_stats)
     calib = calibrate(

@@ -4,9 +4,11 @@ Inference runs in 32-bit by default: parameters are cast once, the LSTM's
 sigmoid-gate columns are halved once (`autodiff.halve_gates`), flow masks
 are folded into the MADE weights, and one fused numpy kernel,
 `_forward_l1`, performs normalize -> encode -> flow -> decode -> L1. It is
-three parts: `_project` (each frame's input projection), the recurrence
-`autodiff.lstm_steps`, which the training tape's LSTM op also runs, and
-`_tail_l1` (heads, eps, flow, decoder, L1). It is vectorized over the
+three parts: `_project` (each frame's input projection), the recurrence,
+which runs `autodiff.lstm_step` in place over one state buffer and keeps
+no step's states, and `_tail_l1` (heads, eps, flow, decoder, L1). The
+training tape's LSTM op runs the same step through `autodiff.lstm_steps`,
+which keeps every step's states for backprop. It is vectorized over the
 hidden units, which keeps one window within the acceptance latency bound
 (criterion 8) without a compiler, and it sums the L1 in float64.
 
@@ -31,7 +33,7 @@ import math
 
 import numpy as np
 
-from .autodiff import halve_gates, lstm_gates, lstm_step, lstm_steps
+from .autodiff import halve_gates, lstm_gates, lstm_step
 from .data import NormStats
 from .errors import InputError
 from .model import ModelConfig, build_flow_masks
@@ -86,19 +88,32 @@ def _tail_l1(h, x, mu_w, mu_b, lv_w, lv_b, flow, alpha_e, zero, d1_w, d1_b, d2_w
     return np.add.reduce(flat, axis=-1, dtype=np.float64).reshape(lead)
 
 
+def _step_operands(acts, h, c, tc, w_h):
+    """`lstm_step`'s operands that step the states h, c (..., 1, H) in
+    place from the activations buffer acts (..., 1, 4H), writing tanh(c)
+    to tc; each step copies its projections into acts first."""
+    return (acts, *lstm_gates(acts), h, c, h, c, tc, w_h, np.array(0.5, dtype=acts.dtype))
+
+
 def _forward_l1(x, w_x, w_h, b_g, *tail):
     """L1 between each normalized window of x (..., T, N) and its
     reconstruction; `tail` is `_tail_l1`'s weights, then eps (..., D).
     w_x, w_h and b_g come with their i/f/o columns halved (`halve_gates`).
     Returns the (...) errors.
 
-    Each frame is projected alone (`_project`) and the recurrence runs
-    time-major with each window's state shaped (1, H), so every product
-    is one gemv per frame or per window: a window's result does not
-    depend on the batch it rides in.
+    Each frame is projected alone (`_project`), and `lstm_step` runs over
+    one state buffer with each window's state shaped (1, H), so every
+    product is one gemv per frame or per window: a window's result does
+    not depend on the batch it rides in. No step's states are kept.
     """
     xp = _project(x, w_x, b_g)
-    h = lstm_steps(np.moveaxis(xp, -3, 0), w_h)[0][-1]
+    acts = np.empty_like(xp[..., 0, :, :])
+    h, c, tc = np.zeros((3,) + acts.shape[:-1] + w_h.shape[:1], dtype=acts.dtype)
+    step = _step_operands(acts, h, c, tc, w_h)
+    for t in range(xp.shape[-3]):
+        acts[...] = xp[..., t, :, :]
+        lstm_step(*step)
+    del xp  # the tail's temporaries need not sit beside every projection
     return _tail_l1(h, x, *tail)
 
 
@@ -112,6 +127,8 @@ def _as_rows(weights):
 
 
 BACKEND = "numpy"
+# The environment variables that set the BLAS library's thread count.
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class ScoringRuntime:
@@ -218,7 +235,6 @@ class WindowsInFlight:
         self._runtime = runtime
         w_x, self._w_h, b_g, *tail = runtime._weights
         self._proj, self._tail = _as_rows((w_x, b_g)), _as_rows(tuple(tail))
-        self._half = np.array(0.5, dtype=dt)
         # Normalized frames from frame `_first` on: the last T_W before the
         # block, then the block; shifted to the front when a block overruns.
         self._hist, self._first = np.zeros((2 * window_len, N), dtype=dt), -window_len
@@ -238,9 +254,8 @@ class WindowsInFlight:
 
     def _step(self, r: int):
         """`lstm_step`'s operands over the first r rows, made once per r."""
-        a, h, c = self._acts[:r], self._h[:r], self._c[:r]
-        step = self._steps[r] = (a, *lstm_gates(a), h, c, h, c, self._tc[:r], self._w_h,
-                                 self._half)
+        step = self._steps[r] = _step_operands(self._acts[:r], self._h[:r], self._c[:r],
+                                                self._tc[:r], self._w_h)
         return step
 
     def advance(self, frames_raw: np.ndarray):

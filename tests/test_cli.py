@@ -19,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowad.checkpoint import load_checkpoint, save_checkpoint
-from flowad.cli import _config, _write_verdicts, main
+from flowad.cli import _write_verdicts, main
+from flowad.config import build_config
 from flowad.data import WindowingConfig, frame_blocks, load_records, manifest_path, save_records
 from flowad.detection import CalibrationStats, DetectorConfig, StreamDetector, Verdict
 from flowad.errors import InputError
@@ -1040,7 +1041,7 @@ class TestConfigTypes:
     )
     def test_typed_values_are_accepted(self, name, sec):
         # an int is a number, a list fills a tuple, null fills an optional
-        built = _config(_SECTIONS[name], {name: sec}, name)
+        built = build_config(_SECTIONS[name], {name: sec}, name)
         echoed = json.loads(json.dumps(dataclasses.asdict(built)))
         assert all(echoed[k] == v for k, v in sec.items() if v is not None)
 
@@ -1058,7 +1059,7 @@ class TestConfigTypes:
     )
     def test_wrong_json_type_is_rejected(self, name, sec, key):
         with pytest.raises(InputError, match=f"bad {name} config: {key} must be"):
-            _config(_SECTIONS[name], {name: sec}, name)
+            build_config(_SECTIONS[name], {name: sec}, name)
 
 
 _SECTIONS = {
@@ -1081,7 +1082,102 @@ def test_config_value_builds_the_dataclass_or_raises_input_error(field, value):
     name, key = field
     sec = {**_BASE.get(name, {}), key: value}
     try:
-        built = _config(_SECTIONS[name], {name: sec}, name)
+        built = build_config(_SECTIONS[name], {name: sec}, name)
     except InputError:
         return
     assert isinstance(built, _SECTIONS[name])
+
+
+_OUTPUT_FLAGS = [("gen-data", "--out"), ("train", "--out"), ("train", "--log"),
+                 ("calibrate", "--out"), ("eval", "--out"), ("eval", "--roc-out"),
+                 ("detect", "--metrics-out"), ("bench", "--out")]
+
+
+def _command_args(env, tmp_path, command):
+    """A run of `command` on env's artifacts whose outputs go to tmp_path."""
+    cfg, ckpt, data = env["cfg"], env["ckpt"], str(env["train_csv"])
+    return [command, *{
+        "gen-data": ["--config", cfg, "--num-normal", "2", "--out", str(tmp_path / "g.csv")],
+        "train": ["--config", cfg, "--data", data, "--out", str(tmp_path / "t.ckpt")],
+        "calibrate": ["--config", cfg, "--checkpoint", env["ckpt_uncal"], "--data", data,
+                      "--out", str(tmp_path / "c.ckpt")],
+        "eval": ["--config", cfg, "--checkpoint", ckpt, "--data", str(env["test_csv"]),
+                 "--out", str(tmp_path / "e.json"), "--roc-out", str(tmp_path / "roc.csv")],
+        "detect": ["--config", cfg, "--checkpoint", ckpt, "--input",
+                   str(_frames_file(env, tmp_path / "frames.txt")), "--threshold", "3.0"],
+        "bench": ["--checkpoint", ckpt, "--windows", "8", "--warmup", "0",
+                  "--out", str(tmp_path / "b.json")],
+    }[command]]
+
+
+@pytest.mark.parametrize("command, flag", _OUTPUT_FLAGS)
+@pytest.mark.parametrize("bad", ["directory", "missing parent"])
+def test_an_output_path_that_cannot_be_a_file_exits_2_before_any_work(
+        env, tmp_path, capsys, monkeypatch, command, flag, bad):
+    import flowad.cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the command read its inputs")
+
+    monkeypatch.setattr(flowad.cli, "load_checkpoint", never)
+    monkeypatch.setattr(flowad.cli, "load_records", never)
+    argv = _command_args(env, tmp_path, command)
+    target = tmp_path / "folder" if bad == "directory" else tmp_path / "missing" / "out"
+    if bad == "directory":
+        target.mkdir()
+    argv = argv[: argv.index(flag)] + argv[argv.index(flag) + 2 :] if flag in argv else argv
+    before = set(tmp_path.rglob("*"))
+    assert main([*argv, flag, str(target)]) == 2
+    reason = "Is a directory" if bad == "directory" else "No such file or directory"
+    assert capsys.readouterr().err == f"error: cannot write {flag} {target}: {reason}\n"
+    assert set(tmp_path.rglob("*")) == before
+
+
+# What each offline command must not load: the training stack, and the
+# evaluation module where the command does not evaluate.
+_NEVER_LOADED = {
+    "detect": {"training", "losses", "optim", "evaluation", "synth"},
+    "calibrate": {"training", "losses", "optim", "evaluation", "synth"},
+    "eval": {"training", "losses", "optim", "synth"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_NEVER_LOADED))
+def test_a_command_loads_no_module_it_never_runs(env, tmp_path, command):
+    script = ("import json, sys\nfrom flowad.cli import main\ncode = main(sys.argv[1:])\n"
+              "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('flowad'))]))")
+    run = subprocess.run([sys.executable, "-c", script, *_command_args(env, tmp_path, command)],
+                         capture_output=True, text=True, timeout=120)
+    code, loaded = json.loads(run.stdout.splitlines()[-1])
+    assert code == 0, run.stderr
+    assert "flowad.fastpath" in loaded
+    assert not {f"flowad.{m}" for m in _NEVER_LOADED[command]} & set(loaded)
+
+
+@pytest.mark.parametrize("name, command", [("train", "train"), ("roc_curve", "eval"),
+                                           ("calibrate", "calibrate"), ("load_records", "eval")])
+def test_a_name_set_on_the_cli_module_is_what_the_command_calls(
+        env, tmp_path, monkeypatch, name, command):
+    # The benchmark's tracer wraps functions by setting them on flowad.cli.
+    import flowad.cli
+
+    calls, real = [], getattr(flowad.cli, name)
+
+    def recording(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(flowad.cli, name, recording)
+    assert main(_command_args(env, tmp_path, command)) == 0
+    assert calls == [name]
+
+
+def test_every_public_name_resolves_on_the_lazy_package():
+    import flowad
+
+    namespace = {}
+    exec("from flowad import *", namespace)
+    assert set(flowad.__all__) <= set(namespace)
+    assert all(getattr(flowad, name) is namespace[name] for name in flowad.__all__)
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        flowad.nope  # noqa: B018

@@ -5,6 +5,7 @@ streaming detector."""
 import dataclasses
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowad import fastpath
+from flowad import autodiff, fastpath
 from flowad.data import NormStats, WindowingConfig, sliding_windows, window_count
 from flowad.detection import (
     CalibrationStats,
@@ -323,12 +324,32 @@ class TestScoringKernel:
         for B in range(1, 34):
             xn = runtime.normalize(windows[:B])
             xp = fastpath._project(xn, w_x, b_g)
-            h = fastpath.lstm_steps(np.moveaxis(xp, -3, 0), w_h)[0][-1]
+            h = autodiff.lstm_steps(np.moveaxis(xp, -3, 0), w_h)[0][-1]
             want = _out_of_place_tail_l1(h, xn, *tail, eps[:B].astype(dtype))
             got = runtime.l1_errors(windows[:B], eps[:B])
             assert got.tobytes() == want.tobytes(), f"B={B}"
             if eps_mode == "zero":  # None skips the eps mask, with the same bits
                 assert runtime.l1_errors(windows[:B]).tobytes() == want.tobytes(), f"B={B}"
+
+    def test_scoring_a_batch_keeps_no_per_step_history(self):
+        # Beyond the frames' projections and the normalized windows, a call
+        # holds only O(B * H) states: no (T+1)-long h, c or tanh(c) history.
+        cfg = ModelConfig(n_signals=12, window_len=150)
+        rng = np.random.default_rng(4)
+        norm = NormStats(mean=np.zeros(12), std=np.ones(12))
+        runtime = fastpath.ScoringRuntime(cfg, init_generator(cfg, rng).arrays, norm)
+        windows = rng.standard_normal((32, 150, 12))
+        runtime.l1_errors(windows)
+        tracemalloc.start()
+        try:
+            runtime.l1_errors(windows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = runtime.dtype.itemsize
+        projection = 32 * 150 * 4 * runtime.config.hidden_size * size
+        normalized = 32 * 150 * 12 * size
+        assert peak < 1.1 * (projection + normalized)
 
     def test_l1_errors_rejects_bad_shapes(self, trained_small):
         runtime = trained_small["runtime"]
