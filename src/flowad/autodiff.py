@@ -14,6 +14,11 @@ functions therefore runs unchanged in differentiable and plain modes,
 and any plain-ndarray operand acts as a constant (no gradient flows
 into it), which is how detached values are expressed. matmul records
 only (B, m) @ (m, n), the one product the model makes.
+
+A tape is walked once: as backward reaches each interior node it runs
+the node's VJPs and then drops its gradient, closure and parent links,
+so the arrays the node saved are freed while the walk goes on instead of
+when `value_and_grad` returns.
 """
 
 from __future__ import annotations
@@ -287,6 +292,8 @@ def lstm(x, w, b, hidden: int):
     the forward pass is `lstm_steps`, which keeps every step's activations,
     and the backward pass runs backprop through time over them, ending in
     one product each for the input rows, the recurrent rows and the bias.
+    The backward pass writes the gates' local factors over the saved
+    activations, so it runs once, as the tape guarantees (`_run_backward`).
     Given plain ndarrays it returns an ndarray and records nothing.
     """
     tw, tb = isinstance(w, Tensor), isinstance(b, Tensor)
@@ -295,23 +302,33 @@ def lstm(x, w, b, hidden: int):
     H = hidden
     xs = xd.transpose(1, 0, 2).reshape(T * B, n)
     w_half = halve_gates(wd)
-    acts = (xs @ w_half[:n] + halve_gates(bd)).reshape(T, B, 4 * H)
+    acts = xs @ w_half[:n]
+    acts += halve_gates(bd)
+    acts = acts.reshape(T, B, 4 * H)
     hs, cs, tcs = lstm_steps(acts, w_half[n:])
     out = hs[T]
     if not (tw or tb):
         return out
 
     def backward(g):
+        # Single use: the gate factors overwrite the saved activations, and
+        # the tape releases this closure once it has run.
         i, f = acts[..., :H], acts[..., H : 2 * H]
         o, u = acts[..., 2 * H : 3 * H], acts[..., 3 * H :]  # u: the g gate
+        dc_dh = o * (1.0 - tcs * tcs)
+        du = u * u
+        np.subtract(1.0, du, out=du)
+        du *= i
+        f_t = f.copy()
         # dA starts as each gate's local factor d(gate)/d(pre-activation)
         # times what multiplies it; the step loop scales it by dc or dh.
-        dA = np.empty_like(acts)
-        dA[..., :H] = u * i * (1.0 - i)
-        dA[..., H : 2 * H] = cs[:-1] * f * (1.0 - f)
-        dA[..., 2 * H : 3 * H] = tcs * o * (1.0 - o)
-        dA[..., 3 * H :] = i * (1.0 - u * u)
-        dc_dh = o * (1.0 - tcs * tcs)
+        one_minus = np.empty_like(tcs)
+        for gate, partner in ((i, u), (f, cs[:-1]), (o, tcs)):
+            np.subtract(1.0, gate, out=one_minus)
+            np.multiply(partner, gate, out=gate)
+            gate *= one_minus
+        u[...] = du
+        dA = acts
         dA4 = dA.reshape(T, B, 4, H)
         w_hT = wd[n:].T
         dh = np.array(g, dtype=np.float64)
@@ -323,7 +340,7 @@ def lstm(x, w, b, hidden: int):
             d[:, 2] *= dh
             d[:, 3] *= dc
             np.matmul(dA[t], w_hT, out=dh)
-            dc *= f[t]
+            dc *= f_t[t]
         dA2 = dA.reshape(T * B, 4 * H)
         if tw:
             gw = np.empty_like(wd)
@@ -360,9 +377,13 @@ def _topo(root: Tensor) -> list[Tensor]:
 
 
 def _run_backward(root: Tensor, check: bool = False):
+    """Send root's gradient to the leaves. Each interior node is released
+    once its backward has run (gradient, closure and parent links), so
+    its saved arrays are freed as the walk moves on; leaves keep theirs."""
     root.grad = np.ones_like(root.data)
     order = _topo(root)
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         if node._backward is None or node.grad is None:
             continue
         node._backward(node.grad)
@@ -374,6 +395,8 @@ def _run_backward(root: Tensor, check: bool = False):
                     and not np.all(np.isfinite(p.grad))
                 ):
                     raise NonFiniteError(node._op, "backward")
+        node.grad = node._backward = None
+        node._parents = ()
 
 
 def _wrap_leaves(params: Mapping[str, np.ndarray]) -> dict[str, Tensor]:
@@ -401,6 +424,9 @@ def value_and_grad(fn: Callable, params: Mapping[str, np.ndarray], has_aux: bool
     pair; aux passes through untouched). Returns (value, grads) or
     ((value, aux), grads); grads maps every parameter name to a float64
     array of the parameter's shape, with zeros for unused parameters.
+
+    The tape is single-use: backward releases every intermediate node as
+    it goes, so only the leaves' gradients (and aux) outlive the call.
 
     A non-finite loss or gradient triggers a checked re-run that raises
     NonFiniteError naming the op that produced the first bad value.

@@ -97,6 +97,8 @@ _DETECT_TYPES = {
 def _detect_section(cfg: dict, args) -> dict:
     out = {"threshold": None, "target_fpr": None, "eps_mode": "zero", "eps_seed": 0}
     out.update(check_types("detect", config_section(cfg, "detect"), _DETECT_TYPES))
+    if out["eps_seed"] < 0:
+        raise InputError("bad detect config: eps_seed must be >= 0")
     if getattr(args, "threshold", None) is not None:
         out["threshold"] = args.threshold
     if getattr(args, "target_fpr", None) is not None:
@@ -210,8 +212,8 @@ def _require_all_normal(records, what: str):
 
 def cmd_calibrate(args) -> int:
     cfg = load_config_file(args.config)
-    ckpt = load_checkpoint(args.checkpoint)
     detect_sec = _detect_section(cfg, args)
+    ckpt = load_checkpoint(args.checkpoint)
     records = load_records(args.data)
     _require_all_normal(records, "calibration data")
     windowing = _checkpoint_windowing(cfg, ckpt)
@@ -274,6 +276,7 @@ def cmd_eval(args) -> int:
     from .evaluation import score_records, summarize
 
     cfg = load_config_file(args.config)
+    eps_seed = _detect_section(cfg, args)["eps_seed"]
     ckpt = load_checkpoint(args.checkpoint)
     calib = _loaded_calibration(ckpt)
     records = load_records(args.data)
@@ -282,7 +285,7 @@ def cmd_eval(args) -> int:
     # One scoring pass serves both the report and the ROC points.
     scored, skipped = score_records(
         records, runtime, calib, windowing, eps_mode=calib.eps_mode,
-        eps_seed=_detect_section(cfg, args)["eps_seed"],
+        eps_seed=eps_seed,
     )
     report = summarize(scored, skipped)
     report["resolved_config"] = {
@@ -311,9 +314,9 @@ def cmd_eval(args) -> int:
 
 def cmd_detect(args) -> int:
     cfg = load_config_file(args.config)
+    detect_sec = _detect_section(cfg, args)
     ckpt = load_checkpoint(args.checkpoint)
     calib = _loaded_calibration(ckpt)
-    detect_sec = _detect_section(cfg, args)
     if detect_sec["threshold"] is not None and detect_sec["target_fpr"] is not None:
         raise InputError("give either a threshold or a target_fpr, not both (flags and "
                          "the config's detect section together set both)")
@@ -414,6 +417,8 @@ def cmd_bench(args) -> int:
         raise InputError(f"--windows must be >= 1, got {args.windows}")
     if args.warmup < 0:
         raise InputError(f"--warmup must be >= 0, got {args.warmup}")
+    if args.seed < 0:
+        raise InputError(f"--seed must be >= 0, got {args.seed}")
     from .evaluation import bench_latency
 
     ckpt = load_checkpoint(args.checkpoint)
@@ -424,7 +429,7 @@ def cmd_bench(args) -> int:
         calib = CalibrationStats(mu=0.0, sigma=1.0)
         calibrated = False
     cfg = ckpt.config
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
+    rng = np.random.default_rng(args.seed)
     raw = ckpt.norm_stats.mean + ckpt.norm_stats.std * rng.standard_normal(
         (args.windows, cfg.window_len, cfg.n_signals)
     )
@@ -515,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--windows", type=int, default=128)
     p.add_argument("--repetitions", type=int, default=3)
     p.add_argument("--warmup", type=int, default=20)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="optional report JSON path")
     p.set_defaults(func=cmd_bench)
 

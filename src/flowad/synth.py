@@ -45,6 +45,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.num_normal < 0 or self.num_anomalous < 0:
             raise InputError("record counts must be non-negative")
+        if self.seed < 0:
+            raise InputError("seed must be >= 0")
         if self.n_frames < 2 or self.n_signals < 1:
             raise InputError("need n_frames >= 2 and n_signals >= 1")
         if self.num_anomalous > 0 and not self.anomaly_kinds:

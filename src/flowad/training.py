@@ -1,12 +1,16 @@
 """Two-network training loop.
 
-Per batch of records: window every record, run one batched generator
-pass over all windows, compute the window-mean generator loss and the
-window-mean discriminator loss (against a frozen copy of z_K and fresh
-prior draws), then apply exactly one AdamW step per network - the
-generator first, both losses having been computed before either update.
-Each batch's z_K vectors enter the prior buffer only after the updates,
-so prior samples always come from strictly earlier steps.
+Per batch of records: normalize the windows of every record, run one
+batched generator pass over all windows, compute the window-mean
+generator loss and the window-mean discriminator loss (against a frozen
+copy of z_K and fresh prior draws), then apply exactly one AdamW step
+per network - the generator first, both losses having been computed
+before either update. Each batch's z_K vectors enter the prior buffer
+only after the updates, so prior samples always come from strictly
+earlier steps.
+
+The frames are held once: a record's windows are views of its raw
+frames, and only the batch in hand is copied out and normalized.
 """
 
 from __future__ import annotations
@@ -24,8 +28,9 @@ from .data import (
     NormStats,
     Record,
     WindowingConfig,
-    apply_normalization,
+    apply_normalization,  # noqa: F401 - perfbench/launcher.py traces it here
     fit_normalization,
+    normalize_values,
     record_windows,
     sliding_windows,  # noqa: F401 - perfbench/launcher.py traces it here
 )
@@ -65,6 +70,8 @@ class TrainConfig:
             raise InputError("epochs must be >= 1")
         if self.batch_size < 1:
             raise InputError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise InputError("seed must be >= 0")
         if self.lam < 0:
             raise InputError("lambda must be >= 0")
         if self.beta_max < 0:
@@ -172,12 +179,7 @@ def train(
             r.n_frames,
         )
 
-    rec_windows = [
-        np.ascontiguousarray(view)
-        for _, view in record_windows(
-            (apply_normalization(r, norm_stats) for r in records), windowing, warn_short
-        )
-    ]
+    rec_windows = [view for _, view in record_windows(records, windowing, warn_short)]
     if not rec_windows:
         raise InputError("no record is long enough to fill a single window")
 
@@ -219,7 +221,9 @@ def train(
         n_windows = 0
         for b0 in range(0, n_rec, train_cfg.batch_size):
             chunk = order[b0 : b0 + train_cfg.batch_size]
-            wins = np.concatenate([rec_windows[i] for i in chunk], axis=0)
+            wins = normalize_values(
+                np.concatenate([rec_windows[i] for i in chunk], axis=0), norm_stats
+            )
             bsz = wins.shape[0]
             eps = eps_rng.standard_normal((bsz, model_cfg.latent_size))
 

@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -1130,6 +1131,38 @@ def test_an_output_path_that_cannot_be_a_file_exits_2_before_any_work(
     assert main([*argv, flag, str(target)]) == 2
     reason = "Is a directory" if bad == "directory" else "No such file or directory"
     assert capsys.readouterr().err == f"error: cannot write {flag} {target}: {reason}\n"
+    assert set(tmp_path.rglob("*")) == before
+
+
+# Each way a negative seed reaches a command: a flag, or a config value.
+_NEGATIVE_SEEDS = {
+    "train --seed": ("train", ["--seed", "-1"], None),
+    "train config": ("train", [], {"train": {"seed": -2}}),
+    "gen-data --seed": ("gen-data", ["--seed", "-1"], None),
+    "bench --seed": ("bench", ["--seed", "-1"], None),
+    **{f"{command} config": (command, [], {"detect": {"eps_seed": -3, "eps_mode": "sample"}})
+       for command in ("calibrate", "eval", "detect")},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NEGATIVE_SEEDS))
+def test_a_negative_seed_exits_2_before_any_work(env, tmp_path, capsys, monkeypatch, case):
+    import flowad.cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the command read its inputs")
+
+    command, flags, section = _NEGATIVE_SEEDS[case]
+    argv = _command_args(env, tmp_path, command) + flags
+    if section is not None:
+        cfg = tmp_path / "negative.json"
+        cfg.write_text(json.dumps({**CONFIG, **section}))
+        argv[argv.index("--config") + 1] = str(cfg)
+    monkeypatch.setattr(flowad.cli, "load_checkpoint", never)
+    monkeypatch.setattr(flowad.cli, "load_records", never)
+    before = set(tmp_path.rglob("*"))
+    assert main(argv) == 2
+    assert re.fullmatch(r"error: \S.*seed must be >= 0.*\n", capsys.readouterr().err)
     assert set(tmp_path.rglob("*")) == before
 
 

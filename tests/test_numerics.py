@@ -2,12 +2,21 @@
 finite-difference oracles."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import flowad.autodiff as ad
 from flowad.errors import InputError, NonFiniteError
+from flowad.losses import loss_generator
+from flowad.model import (
+    ModelConfig,
+    build_flow_masks,
+    generator_forward,
+    init_discriminator,
+    init_generator,
+)
 from flowad.optim import AdamWState, adamw_init, adamw_step
 from flowad.training import TrainConfig, lr_schedule
 
@@ -296,6 +305,94 @@ def test_lstm_plain_mode_matches_tensor_mode_bitwise():
     taped = ad.lstm(x, ad.Tensor(w), ad.Tensor(b), 5)
     assert isinstance(plain, np.ndarray) and isinstance(taped, ad.Tensor)
     assert np.array_equal(plain, taped.data)
+
+
+def _out_of_place_lstm(x, w, b, hidden):
+    """The fused LSTM op with its backward pass written out of place: the
+    gate factors go to a fresh array and the saved activations stay as
+    the forward pass left them. The reference for `ad.lstm`'s bits."""
+    xd, wd, bd = x, w.data, b.data
+    B, T, n = xd.shape
+    H = hidden
+    xs = xd.transpose(1, 0, 2).reshape(T * B, n)
+    w_half = ad.halve_gates(wd)
+    acts = (xs @ w_half[:n] + ad.halve_gates(bd)).reshape(T, B, 4 * H)
+    hs, cs, tcs = ad.lstm_steps(acts, w_half[n:])
+
+    def backward(g):
+        i, f = acts[..., :H], acts[..., H : 2 * H]
+        o, u = acts[..., 2 * H : 3 * H], acts[..., 3 * H :]
+        dA = np.empty_like(acts)
+        dA[..., :H] = u * i * (1.0 - i)
+        dA[..., H : 2 * H] = cs[:-1] * f * (1.0 - f)
+        dA[..., 2 * H : 3 * H] = tcs * o * (1.0 - o)
+        dA[..., 3 * H :] = i * (1.0 - u * u)
+        dc_dh = o * (1.0 - tcs * tcs)
+        dA4 = dA.reshape(T, B, 4, H)
+        w_hT = wd[n:].T
+        dh = np.array(g, dtype=np.float64)
+        dc = np.zeros((B, H))
+        for t in reversed(range(T)):
+            dc += dh * dc_dh[t]
+            d = dA4[t]
+            d[:, :2] *= dc[:, None]
+            d[:, 2] *= dh
+            d[:, 3] *= dc
+            np.matmul(dA[t], w_hT, out=dh)
+            dc *= f[t]
+        dA2 = dA.reshape(T * B, 4 * H)
+        gw = np.empty_like(wd)
+        np.matmul(xs.T, dA2, out=gw[:n])
+        np.matmul(hs[:-1].reshape(T * B, H).T, dA2, out=gw[n:])
+        ad._acc(w, gw)
+        ad._acc(b, dA2.sum(axis=0))
+
+    return ad._make(hs[T], "lstm", (w, b), backward)
+
+
+@pytest.mark.parametrize("B", [1, 8, 32])
+def test_lstm_gradients_match_the_out_of_place_backward_bitwise(B):
+    # The default model's sizes: 12 signals, 150 steps, hidden 24.
+    cfg = ModelConfig(n_signals=12, window_len=150)
+    rng = np.random.default_rng(30 + B)
+    params = {k: v for k, v in init_generator(cfg, rng).arrays.items() if k.startswith("lstm_")}
+    x = rng.standard_normal((B, 150, 12))
+    r = rng.standard_normal((B, cfg.hidden_size))
+    grads = {}
+    for name, op in (("fused", ad.lstm), ("reference", _out_of_place_lstm)):
+        _, grads[name] = ad.value_and_grad(
+            lambda p: ad.sum_all(ad.mul(op(x, p["lstm_w"], p["lstm_b"], cfg.hidden_size), r)),
+            params,
+        )
+    for k in ("lstm_w", "lstm_b"):
+        assert grads["fused"][k].tobytes() == grads["reference"][k].tobytes(), k
+
+
+def test_value_and_grad_releases_the_tape_as_backward_runs():
+    # One generator step at the default size and B=32 peaks within twice
+    # what the LSTM op saves for backward (acts, hs, cs, tanh(cs), xs),
+    # since every other node is freed once backward has passed it.
+    cfg = ModelConfig(n_signals=12, window_len=150)
+    B, T, n, H = 32, 150, 12, cfg.hidden_size
+    rng = np.random.default_rng(33)
+    gen, disc = init_generator(cfg, rng), init_discriminator(cfg, rng)
+    masks = build_flow_masks(cfg)
+    wins = rng.standard_normal((B, T, n))
+    eps = rng.standard_normal((B, cfg.latent_size))
+
+    def loss(p):
+        lp = generator_forward(wins, p, masks, cfg, eps)
+        return loss_generator(lp, wins, p, disc.arrays, cfg, 1e-4, 0.5)[0]
+
+    ad.value_and_grad(loss, gen.arrays)
+    tracemalloc.start()
+    try:
+        ad.value_and_grad(loss, gen.arrays)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    saved = 8 * (T * B * 4 * H + 2 * (T + 1) * B * H + T * B * H + T * B * n)
+    assert peak <= 2 * saved
 
 
 def test_lstm_steps_keeps_float32():

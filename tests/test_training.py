@@ -2,6 +2,7 @@
 loss bookkeeping, the sparsity effect, and determinism."""
 
 import json
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -11,6 +12,7 @@ from flowad import training
 from flowad.data import Record, WindowingConfig
 from flowad.errors import InputError
 from flowad.model import ModelConfig
+from flowad.synth import SynthConfig, synth_generate
 from flowad.training import (
     PriorBuffer,
     TrainConfig,
@@ -202,6 +204,23 @@ class TestTrainStepAccounting:
             assert entry["beta"] == pytest.approx(beta_schedule(epoch, cfg))
             for key in ("mean_L_mse", "mean_L_l1", "mean_L_bce", "mean_L_D", "wall_time_s"):
                 assert key in entry and np.isfinite(entry[key])
+
+
+def test_train_holds_the_frames_once():
+    # 200 benchmark-shaped records (300 frames of 12 signals): past
+    # fit_normalization's transient, training keeps no normalized or
+    # windowed copy of the data, only the batch in hand.
+    records = synth_generate(SynthConfig(num_normal=200, seed=1))
+    raw = sum(r.frames.nbytes for r in records)
+    model = ModelConfig(n_signals=12, window_len=150, hidden_size=4, latent_size=4,
+                        flow_layers=1)
+    tracemalloc.start()
+    try:
+        train(records, model, TrainConfig(epochs=1), WindowingConfig(window_len=150, stride=50))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * raw
 
 
 class TestTrainBehaviors:
