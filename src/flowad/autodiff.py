@@ -311,8 +311,6 @@ def lstm(x, w, b, hidden: int):
         return out
 
     def backward(g):
-        # Single use: the gate factors overwrite the saved activations, and
-        # the tape releases this closure once it has run.
         i, f = acts[..., :H], acts[..., H : 2 * H]
         o, u = acts[..., 2 * H : 3 * H], acts[..., 3 * H :]  # u: the g gate
         dc_dh = o * (1.0 - tcs * tcs)
@@ -320,8 +318,9 @@ def lstm(x, w, b, hidden: int):
         np.subtract(1.0, du, out=du)
         du *= i
         f_t = f.copy()
-        # dA starts as each gate's local factor d(gate)/d(pre-activation)
-        # times what multiplies it; the step loop scales it by dc or dh.
+        # dA, written over acts gate by gate, starts as each gate's local
+        # factor d(gate)/d(pre-activation) times what multiplies it; the
+        # step loop scales it by dc or dh.
         one_minus = np.empty_like(tcs)
         for gate, partner in ((i, u), (f, cs[:-1]), (o, tcs)):
             np.subtract(1.0, gate, out=one_minus)
@@ -377,9 +376,6 @@ def _topo(root: Tensor) -> list[Tensor]:
 
 
 def _run_backward(root: Tensor, check: bool = False):
-    """Send root's gradient to the leaves. Each interior node is released
-    once its backward has run (gradient, closure and parent links), so
-    its saved arrays are freed as the walk moves on; leaves keep theirs."""
     root.grad = np.ones_like(root.data)
     order = _topo(root)
     while order:
