@@ -20,13 +20,7 @@ import numpy as np
 
 from .data import NormStats, require_file
 from .errors import InputError
-from .model import (
-    DiscriminatorParams,
-    GeneratorParams,
-    ModelConfig,
-    discriminator_array_shapes,
-    generator_array_shapes,
-)
+from .model import ModelConfig, discriminator_array_shapes, generator_array_shapes
 
 MAGIC = b"FLOWCKPT"
 FORMAT_VERSION = 1
@@ -36,44 +30,25 @@ _HEADER_KEYS = ("format_version", "model_config", "norm_stats", "arrays", "paylo
 @dataclass
 class Checkpoint:
     config: ModelConfig
-    generator: GeneratorParams
-    discriminator: DiscriminatorParams
+    generator: dict[str, np.ndarray]
+    discriminator: dict[str, np.ndarray]
     norm_stats: NormStats
     calibration: dict | None = None
     meta: dict | None = None
 
 
-def _calibration_to_dict(cal) -> dict | None:
-    if cal is None:
-        return None
-    if isinstance(cal, dict):
-        return cal
-    return cal.to_dict()
-
-
-def save_checkpoint(
-    path,
-    config: ModelConfig,
-    generator: GeneratorParams,
-    discriminator: DiscriminatorParams,
-    norm_stats: NormStats,
-    calibration=None,
-    meta: dict | None = None,
-) -> Path:
-    gen_names = list(generator_array_shapes(config))
-    disc_names = list(discriminator_array_shapes(config))
-    if set(gen_names) != set(generator.arrays):
-        raise InputError("generator arrays do not match the config's layout")
-    if set(disc_names) != set(discriminator.arrays):
-        raise InputError("discriminator arrays do not match the config's layout")
-
+def save_checkpoint(path, ckpt: Checkpoint) -> Path:
+    """Write `ckpt` to `path`; `load_checkpoint` returns what this writes,
+    and saving a loaded checkpoint reproduces its bytes."""
     manifest = []
     chunks = []
-    for group, names, arrays in (
-        ("generator", gen_names, generator.arrays),
-        ("discriminator", disc_names, discriminator.arrays),
+    for group, layout, arrays in (
+        ("generator", generator_array_shapes(ckpt.config), ckpt.generator),
+        ("discriminator", discriminator_array_shapes(ckpt.config), ckpt.discriminator),
     ):
-        for name in names:
+        if set(layout) != set(arrays):
+            raise InputError(f"{group} arrays do not match the config's layout")
+        for name in layout:
             arr = np.ascontiguousarray(arrays[name], dtype="<f8")
             if not np.all(np.isfinite(arr)):
                 raise InputError(f"array '{name}' contains non-finite values")
@@ -83,12 +58,12 @@ def save_checkpoint(
 
     header = {
         "format_version": FORMAT_VERSION,
-        "model_config": asdict(config),
-        "norm_stats": norm_stats.to_dict(),
-        "calibration": _calibration_to_dict(calibration),
+        "model_config": asdict(ckpt.config),
+        "norm_stats": ckpt.norm_stats.to_dict(),
+        "calibration": ckpt.calibration,
         "arrays": manifest,
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
-        "meta": meta or {},
+        "meta": ckpt.meta or {},
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     path = Path(path)
@@ -159,11 +134,18 @@ def load_checkpoint(path) -> Checkpoint:
     meta = header.get("meta", {})
     if not isinstance(meta, dict) or not isinstance(meta.get("resolved_config", {}), dict):
         raise InputError("checkpoint meta and its resolved_config must be JSON objects")
+    # `cli` takes a stride from here when the config gives none; a
+    # windowing that is not an object fails as stride 0.
+    windowing = meta.get("resolved_config", {}).get("windowing", {})
+    stride = windowing.get("stride") if isinstance(windowing, dict) else 0
+    if stride is not None and not (type(stride) is int and 1 <= stride <= config.window_len):
+        raise InputError("checkpoint resolved_config.windowing must be an object whose "
+                         f"stride is an int in 1..{config.window_len}")
 
     return Checkpoint(
         config=config,
-        generator=GeneratorParams(arrays=arrays["generator"]),
-        discriminator=DiscriminatorParams(arrays=arrays["discriminator"]),
+        generator=arrays["generator"],
+        discriminator=arrays["discriminator"],
         norm_stats=norm_stats,
         calibration=header.get("calibration"),
         meta=meta,

@@ -19,7 +19,7 @@ import sys
 import time
 import traceback
 from array import array
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -78,7 +78,7 @@ def _checkpoint_windowing(cfg: dict, ckpt) -> WindowingConfig:
     """The checkpoint's window length with a stride taken from, in order:
     explicit config, the stride recorded in the checkpoint at train
     time, then non-overlapping windows."""
-    stored = (ckpt.meta or {}).get("resolved_config", {}).get("windowing", {})
+    stored = ckpt.meta.get("resolved_config", {}).get("windowing", {})
     strides = (config_section(cfg, "windowing").get("stride"), stored.get("stride"))
     stride = next((s for s in strides if s is not None), ckpt.config.window_len)
     return build_config(
@@ -180,15 +180,8 @@ def cmd_train(args) -> int:
         "train": asdict(train_cfg),
         "windowing": asdict(windowing),
     }
-    save_checkpoint(
-        args.out,
-        model_cfg,
-        result.generator,
-        result.discriminator,
-        result.norm_stats,
-        calibration=None,
-        meta={"resolved_config": resolved},
-    )
+    save_checkpoint(args.out, Checkpoint(model_cfg, result.generator, result.discriminator,
+                                         result.norm_stats, meta={"resolved_config": resolved}))
     log_path = _log_path(args)
     with open(log_path, "w") as fh:
         for entry in result.log:
@@ -210,6 +203,15 @@ def _require_all_normal(records, what: str):
             )
 
 
+def _require_signals(records, ckpt: Checkpoint):
+    for r in records:
+        if r.n_signals != ckpt.config.n_signals:
+            raise InputError(
+                f"record '{r.sample_id}' has {r.n_signals} signals, checkpoint "
+                f"expects {ckpt.config.n_signals}"
+            )
+
+
 def cmd_calibrate(args) -> int:
     cfg = load_config_file(args.config)
     detect_sec = _detect_section(cfg, args)
@@ -217,12 +219,7 @@ def cmd_calibrate(args) -> int:
     records = load_records(args.data)
     _require_all_normal(records, "calibration data")
     windowing = _checkpoint_windowing(cfg, ckpt)
-    for r in records:
-        if r.n_signals != ckpt.config.n_signals:
-            raise InputError(
-                f"record '{r.sample_id}' has {r.n_signals} signals, checkpoint "
-                f"expects {ckpt.config.n_signals}"
-            )
+    _require_signals(records, ckpt)
 
     def warn_short(r):
         print(
@@ -239,7 +236,7 @@ def cmd_calibrate(args) -> int:
         eps_mode=detect_sec["eps_mode"],
         eps_seed=detect_sec["eps_seed"],
     )
-    meta = dict(ckpt.meta or {})
+    meta = dict(ckpt.meta)
     meta["calibration_config"] = {
         "command": "calibrate",
         "data": str(args.data),
@@ -248,15 +245,7 @@ def cmd_calibrate(args) -> int:
         "stride": windowing.stride,
     }
     out = args.out if args.out else args.checkpoint
-    save_checkpoint(
-        out,
-        ckpt.config,
-        ckpt.generator,
-        ckpt.discriminator,
-        ckpt.norm_stats,
-        calibration=stats,
-        meta=meta,
-    )
+    save_checkpoint(out, replace(ckpt, calibration=stats.to_dict(), meta=meta))
     print(
         f"calibrated on {stats.n_windows} windows: mu={stats.mu:.6g} "
         f"sigma={stats.sigma:.6g} -> {out}"
@@ -281,6 +270,7 @@ def cmd_eval(args) -> int:
     calib = _loaded_calibration(ckpt)
     records = load_records(args.data)
     windowing = _checkpoint_windowing(cfg, ckpt)
+    _require_signals(records, ckpt)
     runtime = ScoringRuntime.from_checkpoint(ckpt)
     # One scoring pass serves both the report and the ROC points.
     scored, skipped = score_records(

@@ -331,7 +331,7 @@ def train_and_evaluate(
     from .training import train
 
     result = train(train_records, model_cfg, train_cfg, windowing)
-    runtime = ScoringRuntime(model_cfg, result.generator.arrays, result.norm_stats)
+    runtime = ScoringRuntime(model_cfg, result.generator, result.norm_stats)
     calib = calibrate(
         runtime, (w for _, ws in record_windows(train_records, windowing) for w in ws)
     )

@@ -169,7 +169,7 @@ class ScoringRuntime:
 
     @classmethod
     def from_checkpoint(cls, ckpt, dtype=np.float32) -> "ScoringRuntime":
-        return cls(ckpt.config, ckpt.generator.arrays, ckpt.norm_stats, dtype=dtype)
+        return cls(ckpt.config, ckpt.generator, ckpt.norm_stats, dtype=dtype)
 
     def normalize(self, window_raw: np.ndarray) -> np.ndarray:
         x = (np.asarray(window_raw, dtype=np.float64) - self._mean) / self._std

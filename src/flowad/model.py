@@ -11,7 +11,7 @@ Inputs accept a single window/vector or a leading batch axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -59,16 +59,6 @@ ENCODER_PARAM_NAMES = ("lstm_w", "lstm_b", "mu_w", "mu_b", "logvar_w", "logvar_b
 
 
 @dataclass
-class GeneratorParams:
-    arrays: dict[str, np.ndarray] = field(default_factory=dict)
-
-
-@dataclass
-class DiscriminatorParams:
-    arrays: dict[str, np.ndarray] = field(default_factory=dict)
-
-
-@dataclass
 class LatentPass:
     """Every intermediate the losses need, batched along axis 0."""
 
@@ -112,12 +102,12 @@ def _init_uniform(shapes: dict, rng: np.random.Generator) -> dict[str, np.ndarra
     return arrays
 
 
-def init_generator(cfg: ModelConfig, rng: np.random.Generator) -> GeneratorParams:
-    return GeneratorParams(arrays=_init_uniform(generator_array_shapes(cfg), rng))
+def init_generator(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    return _init_uniform(generator_array_shapes(cfg), rng)
 
 
-def init_discriminator(cfg: ModelConfig, rng: np.random.Generator) -> DiscriminatorParams:
-    return DiscriminatorParams(arrays=_init_uniform(discriminator_array_shapes(cfg), rng))
+def init_discriminator(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    return _init_uniform(discriminator_array_shapes(cfg), rng)
 
 
 def build_flow_masks(cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -8,10 +8,13 @@ import numpy as np
 
 from .errors import InputError
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamWState:
-    """Moments and hyperparameters for one parameter set.
+    """Moments and hyperparameters for one parameter set (the Adam betas
+    and eps are the module constants).
 
     `lr` may be reassigned between steps (the training loop applies the
     epoch schedule); moments persist across the change.
@@ -19,9 +22,6 @@ class AdamWState:
 
     lr: float
     weight_decay: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     decay_exempt: frozenset[str] = frozenset()
     m: dict[str, np.ndarray] = field(default_factory=dict)
@@ -29,22 +29,9 @@ class AdamWState:
 
 
 def adamw_init(
-    params: dict[str, np.ndarray],
-    lr: float,
-    weight_decay: float = 0.0,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-    decay_exempt=(),
+    params: dict[str, np.ndarray], lr: float, weight_decay: float = 0.0, decay_exempt=()
 ) -> AdamWState:
-    state = AdamWState(
-        lr=lr,
-        weight_decay=weight_decay,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
-        decay_exempt=frozenset(decay_exempt),
-    )
+    state = AdamWState(lr=lr, weight_decay=weight_decay, decay_exempt=frozenset(decay_exempt))
     for name, p in params.items():
         state.m[name] = np.zeros_like(p, dtype=np.float64)
         state.v[name] = np.zeros_like(p, dtype=np.float64)
@@ -65,9 +52,8 @@ def adamw_step(
         raise InputError("gradient names do not match optimizer state")
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
-    bias1 = 1.0 - b1**t
-    bias2 = 1.0 - b2**t
+    bias1 = 1.0 - BETA1**t
+    bias2 = 1.0 - BETA2**t
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
@@ -76,9 +62,9 @@ def adamw_step(
             p *= 1.0 - state.lr * state.weight_decay
         m = state.m[name]
         v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        p -= state.lr * (m / bias1) / (np.sqrt(v / bias2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        p -= state.lr * (m / bias1) / (np.sqrt(v / bias2) + EPS)
     return params, state

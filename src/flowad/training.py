@@ -37,8 +37,6 @@ from .data import (
 from .errors import InputError
 from .losses import GeneratorLossParts, loss_discriminator, loss_generator
 from .model import (
-    DiscriminatorParams,
-    GeneratorParams,
     ModelConfig,
     build_flow_masks,
     generator_forward,
@@ -138,8 +136,8 @@ class PriorBuffer:
 
 @dataclass
 class TrainResult:
-    generator: GeneratorParams
-    discriminator: DiscriminatorParams
+    generator: dict[str, np.ndarray]
+    discriminator: dict[str, np.ndarray]
     norm_stats: NormStats
     log: list[dict] = field(default_factory=list)
 
@@ -192,16 +190,16 @@ def train(
     masks = build_flow_masks(model_cfg) if model_cfg.flow_layers > 0 else None
 
     opt_g = adamw_init(
-        gen.arrays,
+        gen,
         lr=train_cfg.eta0,
         weight_decay=train_cfg.weight_decay,
-        decay_exempt=_bias_names(gen.arrays),
+        decay_exempt=_bias_names(gen),
     )
     opt_d = adamw_init(
-        disc.arrays,
+        disc,
         lr=train_cfg.eta0,
         weight_decay=train_cfg.weight_decay,
-        decay_exempt=_bias_names(disc.arrays),
+        decay_exempt=_bias_names(disc),
     )
     buffer = PriorBuffer(train_cfg.prior_capacity, model_cfg.latent_size)
 
@@ -230,12 +228,12 @@ def train(
             def gen_loss_fn(p):
                 lp = generator_forward(wins, p, masks, model_cfg, eps)
                 total, parts = loss_generator(
-                    lp, wins, p, disc.arrays, model_cfg, train_cfg.lam, beta,
+                    lp, wins, p, disc, model_cfg, train_cfg.lam, beta,
                     sparsity_covers_flow=train_cfg.sparsity_covers_flow,
                 )
                 return total, {"zk": np.asarray(lp.zk.data), "parts": parts}
 
-            (_, aux), g_grads = value_and_grad(gen_loss_fn, gen.arrays, has_aux=True)
+            (_, aux), g_grads = value_and_grad(gen_loss_fn, gen, has_aux=True)
             zk_frozen = aux["zk"]
             parts: GeneratorLossParts = aux["parts"]
             z_prior = buffer.sample(bsz, prior_rng)
@@ -243,11 +241,11 @@ def train(
             def disc_loss_fn(p):
                 return loss_discriminator(z_prior, zk_frozen, p, model_cfg)
 
-            d_loss, d_grads = value_and_grad(disc_loss_fn, disc.arrays)
+            d_loss, d_grads = value_and_grad(disc_loss_fn, disc)
 
             # Both losses are computed; generator updates first.
-            adamw_step(gen.arrays, g_grads, opt_g)
-            adamw_step(disc.arrays, d_grads, opt_d)
+            adamw_step(gen, g_grads, opt_g)
+            adamw_step(disc, d_grads, opt_d)
             buffer.push(zk_frozen)
 
             sum_mse += parts.mse * bsz

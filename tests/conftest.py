@@ -29,7 +29,7 @@ def trained_small():
     records = synth_generate(synth)
     tcfg = TrainConfig(epochs=6, seed=3)
     result = train(records, model_cfg, tcfg, windowing)
-    runtime = ScoringRuntime(model_cfg, result.generator.arrays, result.norm_stats)
+    runtime = ScoringRuntime(model_cfg, result.generator, result.norm_stats)
     windows = [w.values for r in records for w in sliding_windows(r, windowing)]
     calib = calibrate(runtime, windows)
     test_records = synth_generate(

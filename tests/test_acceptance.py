@@ -88,11 +88,11 @@ class TestCriterion1GradientCorrectness:
 
         def gen_loss(p):
             lp = generator_forward(window, p, masks, cfg, eps)
-            total, _ = loss_generator(lp, window, p, disc.arrays, cfg, lam, beta)
+            total, _ = loss_generator(lp, window, p, disc, cfg, lam, beta)
             return total
 
-        (_, _), g_analytic = value_and_grad(lambda p: (gen_loss(p), None), gen.arrays, has_aux=True)
-        g_numeric = _finite_diff_grads(gen_loss, gen.arrays)
+        (_, _), g_analytic = value_and_grad(lambda p: (gen_loss(p), None), gen, has_aux=True)
+        g_numeric = _finite_diff_grads(gen_loss, gen)
         gen_err = _max_rel_err(g_analytic, g_numeric)
 
         z_prior = rng.standard_normal((4, cfg.latent_size))
@@ -101,8 +101,8 @@ class TestCriterion1GradientCorrectness:
         def disc_loss(p):
             return loss_discriminator(z_prior, z_k, p, cfg)
 
-        _, d_analytic = value_and_grad(disc_loss, disc.arrays)
-        d_numeric = _finite_diff_grads(disc_loss, disc.arrays)
+        _, d_analytic = value_and_grad(disc_loss, disc)
+        d_numeric = _finite_diff_grads(disc_loss, disc)
         disc_err = _max_rel_err(d_analytic, d_numeric)
 
         elapsed = time.perf_counter() - t0
@@ -152,7 +152,7 @@ class TestCriterion3FlowInvertibility:
             flow_layers=3, made_hidden=16, disc_widths=(8,),
         )
         rng = np.random.default_rng(11)
-        params = init_generator(cfg, rng).arrays
+        params = init_generator(cfg, rng)
         masks = build_flow_masks(cfg)
         worst = 0.0
         for _ in range(1000):
@@ -277,7 +277,7 @@ class TestCriterion8Latency:
         rng = np.random.default_rng(5)
         gen = init_generator(cfg, rng)
         stats = NormStats(mean=np.zeros(12), std=np.ones(12))
-        runtime = ScoringRuntime(cfg, gen.arrays, stats, dtype=np.float32)
+        runtime = ScoringRuntime(cfg, gen, stats, dtype=np.float32)
         calib = CalibrationStats(mu=0.0, sigma=1.0)
         windows = list(rng.standard_normal((128, 150, 12)))
         report = bench_latency(runtime, calib, windows, repetitions=3, warmup=20)

@@ -107,6 +107,8 @@ _HEADER_EDITS = {
     "norm_std_zero": lambda h: h["norm_stats"]["std"].__setitem__(0, 0.0),
     "meta_list": lambda h: h.update(meta=[1]),
     "resolved_config_string": lambda h: h["meta"].update(resolved_config="x"),
+    "windowing_list": lambda h: h["meta"]["resolved_config"].update(windowing=[1]),
+    "stride_float": lambda h: h["meta"]["resolved_config"]["windowing"].update(stride=50.0),
 }
 
 
@@ -164,8 +166,8 @@ class TestTrain:
         out = tmp_path / "s.ckpt"
         assert main(["train", "--config", env["cfg"], "--data", str(env["train_csv"]),
                      "--out", str(out), "--seed", "99"]) == 0
-        base = load_checkpoint(env["ckpt_uncal"]).generator.arrays["lstm_w"]
-        other = load_checkpoint(str(out)).generator.arrays["lstm_w"]
+        base = load_checkpoint(env["ckpt_uncal"]).generator["lstm_w"]
+        other = load_checkpoint(str(out)).generator["lstm_w"]
         assert not np.array_equal(base, other)
 
     def test_ablation_no_flow(self, env, tmp_path):
@@ -356,12 +358,22 @@ class TestEval:
         calibration = dict(ckpt.calibration)
         del calibration["mu"]
         bad = tmp_path / "no-mu.ckpt"
-        save_checkpoint(bad, ckpt.config, ckpt.generator, ckpt.discriminator,
-                        ckpt.norm_stats, calibration=calibration, meta=ckpt.meta)
+        save_checkpoint(bad, dataclasses.replace(ckpt, calibration=calibration))
         code = main(["eval", "--config", env["cfg"], "--checkpoint", str(bad),
                      "--data", str(env["test_csv"]), "--out", str(tmp_path / "r.json")])
         assert code == 2
         assert "calibration stats are malformed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["calibrate", "eval"])
+    def test_record_with_wrong_signal_count_exits_2_naming_it(
+            self, env, tmp_path, capsys, command):
+        records = load_records(env["train_csv"])
+        narrow = [dataclasses.replace(r, frames=r.frames[:, :3]) for r in records]
+        args = _command_args(env, tmp_path, command)
+        args[args.index("--data") + 1] = str(save_records(narrow, tmp_path / "narrow.csv"))
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"record '{records[0].sample_id}' has 3 signals, checkpoint expects 4" in err
 
     def test_overflowing_cell_exits_2_naming_the_record(self, env, tmp_path, capsys):
         csv, sample_id = _overflowing_csv(env["test_csv"], tmp_path / "test.csv")
@@ -1172,6 +1184,7 @@ _NEVER_LOADED = {
     "detect": {"training", "losses", "optim", "evaluation", "synth"},
     "calibrate": {"training", "losses", "optim", "evaluation", "synth"},
     "eval": {"training", "losses", "optim", "synth"},
+    "train": {"evaluation", "synth"},
 }
 
 

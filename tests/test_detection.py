@@ -250,7 +250,7 @@ class TestScoringKernel:
     @pytest.mark.parametrize("with_eps", [False, True])
     def test_l1_error_matches_generator_forward(self, trained_small, dtype, use_flow, with_eps):
         cfg = dataclasses.replace(trained_small["model_cfg"], use_flow=use_flow)
-        params = trained_small["result"].generator.arrays
+        params = trained_small["result"].generator
         norm = trained_small["result"].norm_stats
         runtime = fastpath.ScoringRuntime(cfg, params, norm, dtype=dtype)
         eps = np.random.default_rng(4).standard_normal(cfg.latent_size) if with_eps else None
@@ -265,7 +265,7 @@ class TestScoringKernel:
         # The kernel gets the windows as one (B, T, N) batch; the scalar
         # loop scores them one at a time.
         result = trained_small["result"]
-        runtime = fastpath.ScoringRuntime(trained_small["model_cfg"], result.generator.arrays,
+        runtime = fastpath.ScoringRuntime(trained_small["model_cfg"], result.generator,
                                           result.norm_stats, dtype=dtype)
         xs = runtime.normalize(np.stack(_kernel_windows(trained_small)))
         d = runtime.config.latent_size
@@ -283,7 +283,7 @@ class TestScoringKernel:
                                                         with_eps):
         cfg = dataclasses.replace(trained_small["model_cfg"], use_flow=use_flow)
         result = trained_small["result"]
-        runtime = fastpath.ScoringRuntime(cfg, result.generator.arrays, result.norm_stats,
+        runtime = fastpath.ScoringRuntime(cfg, result.generator, result.norm_stats,
                                           dtype=dtype)
         windows = np.stack([w.values for w in _train_windows(trained_small)[:64]])
         eps = (np.random.default_rng(6).standard_normal((64, cfg.latent_size))
@@ -309,11 +309,11 @@ class TestScoringKernel:
         rng = np.random.default_rng(8)
         if model == "trained_small":
             cfg, result = trained_small["model_cfg"], trained_small["result"]
-            arrays, norm = result.generator.arrays, result.norm_stats
+            arrays, norm = result.generator, result.norm_stats
             windows = np.stack([w.values for w in _train_windows(trained_small)[:33]])
         else:
             cfg = ModelConfig(n_signals=12, window_len=150, alpha_const=0.5)
-            arrays = init_generator(cfg, rng).arrays
+            arrays = init_generator(cfg, rng)
             norm = NormStats(mean=rng.standard_normal(12), std=rng.uniform(0.5, 2.0, 12))
             windows = norm.mean + norm.std * rng.standard_normal((33, 150, 12))
         runtime = fastpath.ScoringRuntime(cfg, arrays, norm, dtype=dtype)
@@ -337,7 +337,7 @@ class TestScoringKernel:
         cfg = ModelConfig(n_signals=12, window_len=150)
         rng = np.random.default_rng(4)
         norm = NormStats(mean=np.zeros(12), std=np.ones(12))
-        runtime = fastpath.ScoringRuntime(cfg, init_generator(cfg, rng).arrays, norm)
+        runtime = fastpath.ScoringRuntime(cfg, init_generator(cfg, rng), norm)
         windows = rng.standard_normal((32, 150, 12))
         runtime.l1_errors(windows)
         tracemalloc.start()
@@ -639,7 +639,7 @@ def test_streamed_verdicts_equal_l1_error_on_the_same_slice(
     cfg = ModelConfig(n_signals=3, window_len=window_len, hidden_size=5, latent_size=4,
                       flow_layers=2, made_hidden=6)
     norm = NormStats(mean=rng.standard_normal(3), std=rng.uniform(0.5, 2.0, 3))
-    runtime = fastpath.ScoringRuntime(cfg, init_generator(cfg, rng).arrays, norm, dtype=dtype)
+    runtime = fastpath.ScoringRuntime(cfg, init_generator(cfg, rng), norm, dtype=dtype)
     calib = CalibrationStats(mu=rng.standard_normal(), sigma=rng.uniform(0.5, 2.0),
                              eps_mode=eps_mode)
     det_cfg = DetectorConfig(theta=0.0, windowing=WindowingConfig(window_len, stride),
@@ -672,7 +672,7 @@ def test_any_partition_into_blocks_gives_the_verdicts_of_one_frame_pushes(
     cfg = ModelConfig(n_signals=3, window_len=window_len, hidden_size=5, latent_size=4,
                       flow_layers=2, made_hidden=6)
     norm = NormStats(mean=rng.standard_normal(3), std=rng.uniform(0.5, 2.0, 3))
-    runtime = fastpath.ScoringRuntime(cfg, init_generator(cfg, rng).arrays, norm, dtype=dtype)
+    runtime = fastpath.ScoringRuntime(cfg, init_generator(cfg, rng), norm, dtype=dtype)
     calib = CalibrationStats(mu=rng.standard_normal(), sigma=rng.uniform(0.5, 2.0),
                              eps_mode=eps_mode)
     det_cfg = DetectorConfig(theta=0.0, windowing=WindowingConfig(window_len, stride),

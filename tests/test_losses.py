@@ -32,7 +32,7 @@ def _cfg(**kw):
 def _const_disc(cfg, p):
     """Discriminator that outputs probability p for every input."""
     params = {k: np.zeros_like(v)
-              for k, v in init_discriminator(cfg, np.random.default_rng(0)).arrays.items()}
+              for k, v in init_discriminator(cfg, np.random.default_rng(0)).items()}
     params["disc_out_b"] = np.array([np.log(p / (1.0 - p))])
     return params
 
@@ -109,7 +109,7 @@ def test_discriminator_at_half_is_ln2():
 
 def test_bce_clamp_keeps_loss_finite():
     cfg = _cfg()
-    disc = init_discriminator(cfg, np.random.default_rng(4)).arrays
+    disc = init_discriminator(cfg, np.random.default_rng(4))
     # saturate the discriminator with a huge bias either way
     disc["disc_out_b"] = np.array([1e4])
     z = np.random.default_rng(5).standard_normal((3, 4))
@@ -121,8 +121,8 @@ def test_bce_clamp_keeps_loss_finite():
 def test_generator_total_decomposes():
     cfg = _cfg()
     rng = np.random.default_rng(6)
-    gen = init_generator(cfg, rng).arrays
-    disc = init_discriminator(cfg, rng).arrays
+    gen = init_generator(cfg, rng)
+    disc = init_discriminator(cfg, rng)
     masks = build_flow_masks(cfg)
     w = rng.standard_normal((2, 8, 3))
     lp = generator_forward(w, gen, masks, cfg, eps=rng.standard_normal((2, 4)))
@@ -135,8 +135,8 @@ def test_generator_total_decomposes():
 def test_generator_batch_mse_is_per_window_mean():
     cfg = _cfg()
     rng = np.random.default_rng(7)
-    gen = init_generator(cfg, rng).arrays
-    disc = init_discriminator(cfg, rng).arrays
+    gen = init_generator(cfg, rng)
+    disc = init_discriminator(cfg, rng)
     masks = build_flow_masks(cfg)
     w = rng.standard_normal((4, 8, 3))
     lp = generator_forward(w, gen, masks, cfg)
@@ -152,8 +152,8 @@ def test_generator_batch_mse_is_per_window_mean():
 def test_sparsity_switch_in_config_disables_term():
     cfg = _cfg(use_sparsity=False)
     rng = np.random.default_rng(8)
-    gen = init_generator(cfg, rng).arrays
-    disc = init_discriminator(cfg, rng).arrays
+    gen = init_generator(cfg, rng)
+    disc = init_discriminator(cfg, rng)
     masks = build_flow_masks(cfg)
     w = rng.standard_normal((8, 3))
     lp = generator_forward(w, gen, masks, cfg)
@@ -166,8 +166,8 @@ def test_discriminator_loss_leaves_generator_untouched():
     only discriminator parameters."""
     cfg = _cfg()
     rng = np.random.default_rng(9)
-    gen = init_generator(cfg, rng).arrays
-    disc = init_discriminator(cfg, rng).arrays
+    gen = init_generator(cfg, rng)
+    disc = init_discriminator(cfg, rng)
     masks = build_flow_masks(cfg)
     w = rng.standard_normal((3, 8, 3))
 
@@ -184,8 +184,8 @@ def test_discriminator_loss_leaves_generator_untouched():
 def test_generator_loss_gradient_reaches_all_arrays():
     cfg = _cfg()
     rng = np.random.default_rng(10)
-    gen = init_generator(cfg, rng).arrays
-    disc = init_discriminator(cfg, rng).arrays
+    gen = init_generator(cfg, rng)
+    disc = init_discriminator(cfg, rng)
     masks = build_flow_masks(cfg)
     w = rng.standard_normal((2, 8, 3))
     eps = rng.standard_normal((2, 4))

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowad.autodiff as ad
-from flowad.checkpoint import load_checkpoint, save_checkpoint
+from flowad.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from flowad.data import NormStats
 from flowad.errors import FlowadError, InputError
 from flowad.fastpath import ScoringRuntime
@@ -33,7 +33,7 @@ from flowad.model import (
 
 
 def _zeroed(params):
-    return {k: np.zeros_like(v) for k, v in params.arrays.items()}
+    return {k: np.zeros_like(v) for k, v in params.items()}
 
 
 def _cfg(**kw):
@@ -110,7 +110,7 @@ def test_encode_zero_network_gives_zero_heads():
 
 def test_encode_deterministic_and_shape_checked():
     cfg = _cfg()
-    params = init_generator(cfg, np.random.default_rng(1)).arrays
+    params = init_generator(cfg, np.random.default_rng(1))
     w = np.random.default_rng(2).standard_normal((8, 3))
     a1, b1 = encode(w, params, cfg)
     a2, b2 = encode(w.copy(), params, cfg)
@@ -122,7 +122,7 @@ def test_encode_deterministic_and_shape_checked():
 
 def test_encode_batch_matches_single():
     cfg = _cfg()
-    params = init_generator(cfg, np.random.default_rng(3)).arrays
+    params = init_generator(cfg, np.random.default_rng(3))
     ws = np.random.default_rng(4).standard_normal((3, 8, 3))
     mu_b, lv_b = encode(ws, params, cfg)
     for i in range(3):
@@ -152,7 +152,7 @@ def test_reparameterize_hand_cases():
 
 def test_made_last_input_never_matters():
     cfg = _cfg()
-    params = init_generator(cfg, np.random.default_rng(5)).arrays
+    params = init_generator(cfg, np.random.default_rng(5))
     m_enc, m_dec = build_flow_masks(cfg)
     z = np.random.default_rng(6).standard_normal(4)
     layer = (params["flow0_enc_w"], params["flow0_enc_b"],
@@ -166,7 +166,7 @@ def test_made_last_input_never_matters():
 
 def test_made_output0_is_bias_only():
     cfg = _cfg()
-    params = init_generator(cfg, np.random.default_rng(7)).arrays
+    params = init_generator(cfg, np.random.default_rng(7))
     m_enc, m_dec = build_flow_masks(cfg)
     layer = (params["flow0_enc_w"], params["flow0_enc_b"],
              params["flow0_dec_w"], params["flow0_dec_b"])
@@ -265,7 +265,7 @@ def test_maf_inverse_bias_only_subtracts_in_reverse():
 
 def test_maf_round_trip_100_random():
     cfg = _cfg(latent_size=6, made_hidden=12, flow_layers=3)
-    params = init_generator(cfg, np.random.default_rng(10)).arrays
+    params = init_generator(cfg, np.random.default_rng(10))
     masks = build_flow_masks(cfg)
     z = np.random.default_rng(11).standard_normal((100, 6))
     fwd = np.asarray(maf_forward(z, params, masks, cfg))
@@ -287,7 +287,7 @@ def test_decode_zero_weights_is_bias_broadcast():
 
 def test_decode_shape_and_determinism():
     cfg = _cfg()
-    params = init_generator(cfg, np.random.default_rng(12)).arrays
+    params = init_generator(cfg, np.random.default_rng(12))
     z = np.random.default_rng(13).standard_normal(4)
     out1 = np.asarray(decode(z, params, cfg))
     out2 = np.asarray(decode(z.copy(), params, cfg))
@@ -313,7 +313,7 @@ def test_generator_zero_network():
 def test_generator_flow_off_zk_equals_z0_and_ignores_made_params():
     cfg_off = _cfg(use_flow=False)
     rng = np.random.default_rng(14)
-    params = init_generator(cfg_off, rng).arrays
+    params = init_generator(cfg_off, rng)
     w = rng.standard_normal((8, 3))
     lp1 = generator_forward(w, params, None, cfg_off)
     assert np.array_equal(np.asarray(lp1.zk), np.asarray(lp1.z0))
@@ -326,7 +326,7 @@ def test_generator_flow_off_zk_equals_z0_and_ignores_made_params():
 
 def test_generator_eps_zero_bit_identical():
     cfg = _cfg()
-    params = init_generator(cfg, np.random.default_rng(15)).arrays
+    params = init_generator(cfg, np.random.default_rng(15))
     masks = build_flow_masks(cfg)
     w = np.random.default_rng(16).standard_normal((8, 3))
     lp1 = generator_forward(w, params, masks, cfg)
@@ -342,8 +342,8 @@ def test_generator_loss_tape_size_does_not_grow_with_window_len():
     for window_len in (10, 150):
         cfg = ModelConfig(n_signals=3, window_len=window_len)
         rng = np.random.default_rng(17)
-        leaves = {k: ad.Tensor(v) for k, v in init_generator(cfg, rng).arrays.items()}
-        disc = init_discriminator(cfg, rng).arrays
+        leaves = {k: ad.Tensor(v) for k, v in init_generator(cfg, rng).items()}
+        disc = init_discriminator(cfg, rng)
         x = rng.standard_normal((4, window_len, 3))
         eps = rng.standard_normal((4, cfg.latent_size))
         lp = generator_forward(x, leaves, build_flow_masks(cfg), cfg, eps)
@@ -364,7 +364,7 @@ def test_discriminate_zero_network_is_half():
 
 def test_discriminate_in_open_unit_interval():
     cfg = _cfg()
-    params = init_discriminator(cfg, np.random.default_rng(17)).arrays
+    params = init_discriminator(cfg, np.random.default_rng(17))
     z = np.random.default_rng(18).standard_normal((50, 4)) * 10
     p = np.asarray(discriminate(z, params, cfg))
     assert p.shape == (50, 1)
@@ -373,7 +373,7 @@ def test_discriminate_in_open_unit_interval():
 
 def test_discriminate_monotone_in_output_bias():
     cfg = _cfg()
-    params = init_discriminator(cfg, np.random.default_rng(19)).arrays
+    params = init_discriminator(cfg, np.random.default_rng(19))
     z = np.random.default_rng(20).standard_normal(4)
     p_low = float(np.asarray(discriminate(z, params, cfg)))
     raised = dict(params)
@@ -392,7 +392,7 @@ def _small_checkpoint(tmp_path, calibration=None, meta=None):
     disc = init_discriminator(cfg, rng)
     stats = NormStats(mean=rng.standard_normal(3), std=np.abs(rng.standard_normal(3)) + 0.1)
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, cfg, gen, disc, stats, calibration=calibration, meta=meta)
+    save_checkpoint(path, Checkpoint(cfg, gen, disc, stats, calibration=calibration, meta=meta))
     return path, cfg, gen, disc, stats
 
 
@@ -400,22 +400,27 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     path, cfg, gen, disc, stats = _small_checkpoint(tmp_path, meta={"note": "x"})
     ck = load_checkpoint(path)
     assert ck.config == cfg
-    for name, arr in gen.arrays.items():
-        assert np.array_equal(ck.generator.arrays[name], arr)
-    for name, arr in disc.arrays.items():
-        assert np.array_equal(ck.discriminator.arrays[name], arr)
+    for name, arr in gen.items():
+        assert np.array_equal(ck.generator[name], arr)
+    for name, arr in disc.items():
+        assert np.array_equal(ck.discriminator[name], arr)
     assert np.array_equal(ck.norm_stats.mean, stats.mean)
     assert np.array_equal(ck.norm_stats.std, stats.std)
     assert ck.calibration is None
     assert ck.meta == {"note": "x"}
 
 
-def test_checkpoint_save_load_save_identical_bytes(tmp_path):
-    path, cfg, gen, disc, stats = _small_checkpoint(tmp_path)
+@pytest.mark.parametrize("extra", [
+    {},
+    {"calibration": {"mu": 3.5, "sigma": 1.25, "eps_mode": "sample", "n_windows": 10},
+     "meta": {"resolved_config": {"windowing": {"stride": 4, "window_len": 8}}}},
+], ids=["uncalibrated", "calibrated"])
+def test_checkpoint_save_load_save_identical_bytes(tmp_path, extra):
+    path, *_ = _small_checkpoint(tmp_path, **extra)
     ck = load_checkpoint(path)
+    assert ck.calibration == extra.get("calibration")
     path2 = tmp_path / "m2.ckpt"
-    save_checkpoint(path2, ck.config, ck.generator, ck.discriminator, ck.norm_stats,
-                    calibration=ck.calibration, meta=ck.meta)
+    save_checkpoint(path2, ck)
     assert path.read_bytes() == path2.read_bytes()
 
 
@@ -423,7 +428,7 @@ def test_checkpoint_carries_calibration(tmp_path):
     from flowad.detection import CalibrationStats
 
     cal = CalibrationStats(mu=3.5, sigma=1.25, eps_mode="zero", n_windows=10)
-    path, *_ = _small_checkpoint(tmp_path, calibration=cal)
+    path, *_ = _small_checkpoint(tmp_path, calibration=cal.to_dict())
     ck = load_checkpoint(path)
     back = CalibrationStats.from_dict(ck.calibration)
     assert back.mu == 3.5 and back.sigma == 1.25 and back.n_windows == 10
@@ -529,10 +534,10 @@ def test_checkpoint_rejects_mismatched_layout(tmp_path):
     rng = np.random.default_rng(22)
     gen = init_generator(cfg, rng)
     disc = init_discriminator(cfg, rng)
-    del gen.arrays["mu_w"]
+    del gen["mu_w"]
     stats = NormStats(mean=np.zeros(3), std=np.ones(3))
     with pytest.raises(InputError, match="layout"):
-        save_checkpoint(tmp_path / "x.ckpt", cfg, gen, disc, stats)
+        save_checkpoint(tmp_path / "x.ckpt", Checkpoint(cfg, gen, disc, stats))
 
 
 def test_checkpoint_rejects_nonfinite(tmp_path):
@@ -540,7 +545,7 @@ def test_checkpoint_rejects_nonfinite(tmp_path):
     rng = np.random.default_rng(23)
     gen = init_generator(cfg, rng)
     disc = init_discriminator(cfg, rng)
-    gen.arrays["mu_w"][0, 0] = np.nan
+    gen["mu_w"][0, 0] = np.nan
     stats = NormStats(mean=np.zeros(3), std=np.ones(3))
     with pytest.raises(InputError, match="non-finite"):
-        save_checkpoint(tmp_path / "x.ckpt", cfg, gen, disc, stats)
+        save_checkpoint(tmp_path / "x.ckpt", Checkpoint(cfg, gen, disc, stats))

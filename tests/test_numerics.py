@@ -355,7 +355,7 @@ def test_lstm_gradients_match_the_out_of_place_backward_bitwise(B):
     # The default model's sizes: 12 signals, 150 steps, hidden 24.
     cfg = ModelConfig(n_signals=12, window_len=150)
     rng = np.random.default_rng(30 + B)
-    params = {k: v for k, v in init_generator(cfg, rng).arrays.items() if k.startswith("lstm_")}
+    params = {k: v for k, v in init_generator(cfg, rng).items() if k.startswith("lstm_")}
     x = rng.standard_normal((B, 150, 12))
     r = rng.standard_normal((B, cfg.hidden_size))
     grads = {}
@@ -382,12 +382,12 @@ def test_value_and_grad_releases_the_tape_as_backward_runs():
 
     def loss(p):
         lp = generator_forward(wins, p, masks, cfg, eps)
-        return loss_generator(lp, wins, p, disc.arrays, cfg, 1e-4, 0.5)[0]
+        return loss_generator(lp, wins, p, disc, cfg, 1e-4, 0.5)[0]
 
-    ad.value_and_grad(loss, gen.arrays)
+    ad.value_and_grad(loss, gen)
     tracemalloc.start()
     try:
-        ad.value_and_grad(loss, gen.arrays)
+        ad.value_and_grad(loss, gen)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -255,7 +255,7 @@ class TestTrainBehaviors:
 
         def near_zero(result):
             total = 0
-            for name, arr in result.generator.arrays.items():
+            for name, arr in result.generator.items():
                 if name.startswith(("lstm_", "mu_", "logvar_")):
                     total += int(np.sum(np.abs(arr) < 1e-4))
             return total
@@ -273,10 +273,10 @@ class TestTrainBehaviors:
         cfg = _tiny_train_cfg(epochs=2, shuffle=True)
         res_a = train(records, TINY_MODEL, cfg, TINY_WINDOWING)
         res_b = train(records, TINY_MODEL, cfg, TINY_WINDOWING)
-        for name, arr in res_a.generator.arrays.items():
-            np.testing.assert_array_equal(arr, res_b.generator.arrays[name])
-        for name, arr in res_a.discriminator.arrays.items():
-            np.testing.assert_array_equal(arr, res_b.discriminator.arrays[name])
+        for name, arr in res_a.generator.items():
+            np.testing.assert_array_equal(arr, res_b.generator[name])
+        for name, arr in res_a.discriminator.items():
+            np.testing.assert_array_equal(arr, res_b.discriminator[name])
         for ea, eb in zip(res_a.log, res_b.log):
             for key in ("mean_L_mse", "mean_L_l1", "mean_L_bce", "mean_L_D", "eta", "beta"):
                 assert ea[key] == eb[key]
