@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import build_config
 from .data import NormStats, require_file
 from .errors import InputError
 from .model import ModelConfig, discriminator_array_shapes, generator_array_shapes
@@ -75,6 +76,14 @@ def save_checkpoint(path, ckpt: Checkpoint) -> Path:
     return path
 
 
+def _config_from_header(header) -> ModelConfig:
+    """The header's model_config, held to the rule config files follow."""
+    try:
+        return build_config(ModelConfig, header, "model_config")
+    except InputError as e:
+        raise InputError(f"checkpoint header: {e}") from None
+
+
 def load_checkpoint(path) -> Checkpoint:
     path = require_file(path, "checkpoint")
     raw = path.read_bytes()
@@ -101,7 +110,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise InputError("checkpoint payload digest mismatch; file is corrupted")
 
     try:
-        config = ModelConfig(**header["model_config"])
+        config = _config_from_header(header)
         norm_stats = NormStats.from_dict(header["norm_stats"])
         layouts = {"generator": generator_array_shapes(config),
                    "discriminator": discriminator_array_shapes(config)}

@@ -154,6 +154,8 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     from .training import TrainConfig
 
+    if args.freq_downsample < 1:
+        raise InputError(f"--freq-downsample must be >= 1, got {args.freq_downsample}")
     cfg = load_config_file(args.config)
     windowing = build_config(WindowingConfig, cfg, "windowing")
     train_cfg = build_config(TrainConfig, cfg, "train", seed=args.seed)

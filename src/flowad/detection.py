@@ -110,14 +110,13 @@ class DetectorConfig:
 
 
 def _eps_stream(runtime: ScoringRuntime, eps_mode: str, eps_seed: int):
-    """Epsilon drawer matching the configured mode: draw() gives one
-    window's (D,) noise, draw(B) a block's (B, D), the same numbers B
-    single draws would give."""
+    """Epsilon drawer matching the configured mode: draw(B) gives a block's
+    (B, D) noise, the same numbers as B draws of one window each."""
     if eps_mode == "zero":
-        return lambda *block: None
+        return lambda count: None
     rng = np.random.default_rng(eps_seed)
     d = runtime.config.latent_size
-    return lambda *block: rng.standard_normal((*block, d))
+    return lambda count: rng.standard_normal((count, d))
 
 
 def score_windows(

@@ -6,10 +6,10 @@ and the discriminator sees a frozen z_K:
   L_D = 1/2 [ BCE(D(z_prior), 1) + BCE(D(z_K), 0) ].
 Probabilities are clamped to [P_MIN, 1 - P_MIN] inside every BCE.
 
-All loss functions accept a single window/vector or a batch; on a
-batch they return the per-window mean (except loss_mse, which is the
+All loss functions take batches: windows (B, T_W, N) and latent vectors
+(B, D). They return the per-window mean, except loss_mse, which is the
 plain sum its definition calls for - callers that want the batch mean
-divide by the window count).
+divide by the window count.
 """
 
 from __future__ import annotations
@@ -33,10 +33,6 @@ class GeneratorLossParts:
     mse: float
     sparsity: float
     adversarial: float
-
-
-def _batch_size(x) -> int:
-    return x.shape[0] if x.ndim > 1 else 1
 
 
 def loss_mse(window, reconstruction):
@@ -74,14 +70,11 @@ def _bce_against(p, target_one: bool):
     """Mean of -ln(p) or -ln(1-p) over the batch, with clamped p."""
     pc = ad.clip(p, P_MIN, 1.0 - P_MIN)
     inner = pc if target_one else ad.sub(1.0, pc)
-    n = 1
-    for s in inner.shape:
-        n *= s
-    return ad.mul(ad.neg(ad.sum_all(ad.log(inner))), 1.0 / n)
+    return ad.mul(ad.neg(ad.sum_all(ad.log(inner))), 1.0 / inner.shape[0])
 
 
 def loss_adversarial_g(z_k, disc_params: Mapping, cfg: ModelConfig, beta: float):
-    """beta * BCE(D(z_K), 1), averaged over the batch if z_K is batched."""
+    """beta * BCE(D(z_K), 1), averaged over the batch."""
     if beta < 0:
         raise InputError("beta must be non-negative")
     p = discriminate(z_k, disc_params, cfg)
@@ -98,14 +91,14 @@ def loss_generator(
     beta: float,
     sparsity_covers_flow: bool = False,
 ):
-    """Total generator loss; on a batch, the mean over its windows.
+    """Total generator loss, the mean over the batch's windows.
 
     Returns (total, parts); parts carries the detached float values of
     the three terms for logging. disc_params should be plain arrays so
     no gradient flows into the discriminator here.
     """
     w = np.asarray(window, dtype=np.float64)
-    b = _batch_size(w) if w.ndim == 3 else 1
+    b = w.shape[0]
     lam_eff = lam if cfg.use_sparsity else 0.0
     mse = ad.mul(loss_mse(w, latent_pass.reconstruction), 1.0 / b)
     sp = loss_sparsity(gen_params, lam_eff, include_flow=sparsity_covers_flow)

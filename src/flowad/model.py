@@ -5,7 +5,7 @@ discriminator.
 Every forward function is written against the dispatching ops in
 `autodiff`, so one code path serves both differentiable training (params
 given as Tensors) and plain numpy execution (params given as ndarrays).
-Inputs accept a single window/vector or a leading batch axis.
+Inputs are batches: windows (B, T_W, N) and latent vectors (B, D).
 """
 
 from __future__ import annotations
@@ -118,38 +118,17 @@ def build_flow_masks(cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
 # -- forward passes --------------------------------------------------------
 
 
-def _batched_windows(window) -> tuple[np.ndarray, bool]:
-    x = np.asarray(window, dtype=np.float64)
-    if x.ndim == 2:
-        return x[None], True
-    if x.ndim == 3:
-        return x, False
-    raise InputError(f"window must be (T, N) or (B, T, N), got shape {x.shape}")
-
-
-def _batched_vec(z) -> tuple[object, bool]:
-    if z.ndim == 1:
-        return ad.reshape(z, (1, z.shape[0])), True
-    if z.ndim == 2:
-        return z, False
-    raise InputError("latent input must be a vector or a batch of vectors")
-
-
 def encode(window, params: Mapping, cfg: ModelConfig):
-    """LSTM over T_W steps; final hidden state feeds the mu/logvar heads."""
-    x, single = _batched_windows(window)
-    _, T, n = x.shape
-    if T != cfg.window_len or n != cfg.n_signals:
+    """LSTM over T_W steps of (B, T_W, N) windows; the final hidden state
+    feeds the mu/logvar heads, each (B, D)."""
+    x = np.asarray(window, dtype=np.float64)
+    if x.shape[1:] != (cfg.window_len, cfg.n_signals):
         raise InputError(
-            f"window shape {(T, n)} does not match config "
-            f"{(cfg.window_len, cfg.n_signals)}"
+            f"windows must be (B, {cfg.window_len}, {cfg.n_signals}), got shape {x.shape}"
         )
     h = ad.lstm(x, params["lstm_w"], params["lstm_b"], cfg.hidden_size)
     mu = ad.add(ad.matmul(h, params["mu_w"]), params["mu_b"])
     logvar = ad.add(ad.matmul(h, params["logvar_w"]), params["logvar_b"])
-    if single:
-        D = cfg.latent_size
-        return ad.reshape(mu, (D,)), ad.reshape(logvar, (D,))
     return mu, logvar
 
 
@@ -162,17 +141,14 @@ def reparameterize(mu, logvar, eps=None):
 
 
 def made_forward(z, enc_w, enc_b, dec_w, dec_b, m_enc, m_dec):
-    """Masked single-hidden-layer network; output i sees only inputs < i."""
-    zb, single = _batched_vec(z)
-    hidden = ad.relu(ad.add(ad.matmul(zb, ad.mul(enc_w, m_enc)), enc_b))
-    out = ad.add(ad.matmul(hidden, ad.mul(dec_w, m_dec)), dec_b)
-    if single:
-        return ad.reshape(out, (out.shape[1],))
-    return out
+    """Masked single-hidden-layer network on (B, D); output i sees only
+    inputs < i."""
+    hidden = ad.relu(ad.add(ad.matmul(z, ad.mul(enc_w, m_enc)), enc_b))
+    return ad.add(ad.matmul(hidden, ad.mul(dec_w, m_dec)), dec_b)
 
 
 def maf_forward(z0, params: Mapping, masks, cfg: ModelConfig):
-    """z_k = z_{k-1} * exp(alpha) + mu_k(z_{k-1}) for k = 1..K."""
+    """z_k = z_{k-1} * exp(alpha) + mu_k(z_{k-1}) for k = 1..K, on (B, D)."""
     z = z0
     if not cfg.use_flow or cfg.flow_layers == 0:
         return z
@@ -193,44 +169,31 @@ def maf_forward(z0, params: Mapping, masks, cfg: ModelConfig):
 
 
 def maf_inverse(z_k, params: Mapping, masks, cfg: ModelConfig) -> np.ndarray:
-    """Coordinate-by-coordinate inverse of maf_forward; numpy only."""
-    z = np.asarray(z_k, dtype=np.float64)
-    single = z.ndim == 1
-    zb = z[None] if single else z.copy()
-    if cfg.use_flow and cfg.flow_layers > 0:
-        m_enc, m_dec = masks
-        scale = math.exp(cfg.alpha_const)
-        D = zb.shape[1]
-        for k in reversed(range(cfg.flow_layers)):
-            layer = (
-                np.asarray(params[f"flow{k}_enc_w"], dtype=np.float64),
-                np.asarray(params[f"flow{k}_enc_b"], dtype=np.float64),
-                np.asarray(params[f"flow{k}_dec_w"], dtype=np.float64),
-                np.asarray(params[f"flow{k}_dec_b"], dtype=np.float64),
-            )
-            for r in range(zb.shape[0]):
-                y = zb[r].copy()
-                x = np.zeros(D)
-                for i in range(D):
-                    # mu[i] depends only on x[:i], which are already solved.
-                    mu = made_forward(x, *layer, m_enc, m_dec)
-                    x[i] = (y[i] - mu[i]) / scale
-                zb[r] = x
-    return zb[0] if single else zb
+    """Coordinate-by-coordinate inverse of maf_forward on (B, D); numpy only."""
+    z = np.array(z_k, dtype=np.float64)
+    if not cfg.use_flow or cfg.flow_layers == 0:
+        return z
+    m_enc, m_dec = masks
+    scale = math.exp(cfg.alpha_const)
+    for k in reversed(range(cfg.flow_layers)):
+        layer = [np.asarray(params[f"flow{k}_{part}"], dtype=np.float64)
+                 for part in ("enc_w", "enc_b", "dec_w", "dec_b")]
+        x = np.zeros_like(z)
+        for i in range(z.shape[1]):
+            # mu[:, i] depends only on x[:, :i], which are already solved.
+            mu = made_forward(x, *layer, m_enc, m_dec)
+            x[:, i] = (z[:, i] - mu[:, i]) / scale
+        z = x
+    return z
 
 
 def decode(z_k, params: Mapping, cfg: ModelConfig):
-    """z_K -> linear(hidden_size) -> relu -> linear(T_W*N) -> reshape."""
-    zb, single = _batched_vec(z_k)
-    if zb.shape[1] != cfg.latent_size:
-        raise InputError(
-            f"latent length {zb.shape[1]} does not match config {cfg.latent_size}"
-        )
-    h = ad.relu(ad.add(ad.matmul(zb, params["dec1_w"]), params["dec1_b"]))
+    """z_K (B, D) -> linear(hidden_size) -> relu -> linear(T_W*N) -> (B, T_W, N)."""
+    if z_k.shape[1:] != (cfg.latent_size,):
+        raise InputError(f"latents must be (B, {cfg.latent_size}), got shape {z_k.shape}")
+    h = ad.relu(ad.add(ad.matmul(z_k, params["dec1_w"]), params["dec1_b"]))
     flat = ad.add(ad.matmul(h, params["dec2_w"]), params["dec2_b"])
-    if single:
-        return ad.reshape(flat, (cfg.window_len, cfg.n_signals))
-    return ad.reshape(flat, (zb.shape[0], cfg.window_len, cfg.n_signals))
+    return ad.reshape(flat, (z_k.shape[0], cfg.window_len, cfg.n_signals))
 
 
 def generator_forward(window, params: Mapping, masks, cfg: ModelConfig, eps=None) -> LatentPass:
@@ -243,12 +206,9 @@ def generator_forward(window, params: Mapping, masks, cfg: ModelConfig, eps=None
 
 
 def discriminate(z, params: Mapping, cfg: ModelConfig):
-    """MLP with rectifier hiddens and sigmoid output; returns (B, 1) probs."""
-    zb, single = _batched_vec(z)
-    h = zb
+    """MLP on (B, D) with rectifier hiddens and sigmoid output; returns
+    (B, 1) probs."""
+    h = z
     for i in range(len(cfg.disc_widths)):
         h = ad.relu(ad.add(ad.matmul(h, params[f"disc{i}_w"]), params[f"disc{i}_b"]))
-    p = ad.sigmoid(ad.add(ad.matmul(h, params["disc_out_w"]), params["disc_out_b"]))
-    if single:
-        return ad.reshape(p, ())
-    return p
+    return ad.sigmoid(ad.add(ad.matmul(h, params["disc_out_w"]), params["disc_out_b"]))

@@ -117,10 +117,12 @@ class PriorBuffer:
         return len(self._buf)
 
     def push(self, z_batch: np.ndarray):
-        z = np.atleast_2d(np.asarray(z_batch, dtype=np.float64))
-        if z.shape[1] != self.latent_size:
+        """Append each row of a (B, D) batch."""
+        z = np.asarray(z_batch, dtype=np.float64)
+        if z.shape[1:] != (self.latent_size,):
             raise InputError(
-                f"latent length {z.shape[1]} does not match buffer ({self.latent_size})"
+                f"latent length does not match buffer: batch shape {z.shape}, "
+                f"expected (B, {self.latent_size})"
             )
         for row in z:
             self._buf.append(row.copy())

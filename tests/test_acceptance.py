@@ -82,8 +82,8 @@ class TestCriterion1GradientCorrectness:
         gen = init_generator(cfg, rng)
         disc = init_discriminator(cfg, rng)
         masks = build_flow_masks(cfg)
-        window = rng.standard_normal((cfg.window_len, cfg.n_signals))
-        eps = rng.standard_normal(cfg.latent_size)
+        window = rng.standard_normal((1, cfg.window_len, cfg.n_signals))
+        eps = rng.standard_normal((1, cfg.latent_size))
         lam, beta = 1e-3, 0.7
 
         def gen_loss(p):
@@ -128,15 +128,15 @@ class TestCriterion2AutoregressiveStructure:
             enc_b = 0.5 * rng.standard_normal(hidden)
             dec_w = 0.5 * rng.standard_normal((hidden, d))
             dec_b = 0.5 * rng.standard_normal(d)
-            z = rng.standard_normal(d)
+            z = rng.standard_normal((1, d))
             jac = np.zeros((d, d))
             for j in range(d):
                 zp, zm = z.copy(), z.copy()
-                zp[j] += h
-                zm[j] -= h
+                zp[0, j] += h
+                zm[0, j] -= h
                 fp = made_forward(zp, enc_w, enc_b, dec_w, dec_b, m_enc, m_dec)
                 fm = made_forward(zm, enc_w, enc_b, dec_w, dec_b, m_enc, m_dec)
-                jac[:, j] = (np.asarray(fp) - np.asarray(fm)) / (2.0 * h)
+                jac[:, j] = (np.asarray(fp)[0] - np.asarray(fm)[0]) / (2.0 * h)
             # everything on or above the diagonal must vanish
             upper = np.abs(np.triu(jac))
             worst = max(worst, float(upper.max()))
@@ -156,7 +156,7 @@ class TestCriterion3FlowInvertibility:
         masks = build_flow_masks(cfg)
         worst = 0.0
         for _ in range(1000):
-            z0 = rng.standard_normal(cfg.latent_size)
+            z0 = rng.standard_normal((1, cfg.latent_size))
             zk = maf_forward(z0, params, masks, cfg)
             back = maf_inverse(np.asarray(zk), params, masks, cfg)
             worst = max(worst, float(np.max(np.abs(back - z0))))

@@ -101,6 +101,11 @@ def _frames_file(env, path, n_signals=4, rows=None, record_idx=0):
 _HEADER_EDITS = {
     "flow_layers": lambda h: h["model_config"].update(flow_layers=5),
     "hidden_size": lambda h: h["model_config"].update(hidden_size=9),  # arrays have 8 units
+    "n_signals_float": lambda h: h["model_config"].update(
+        n_signals=float(h["model_config"]["n_signals"])),
+    "window_len_float": lambda h: h["model_config"].update(
+        window_len=float(h["model_config"]["window_len"])),
+    "alpha_const_nan": lambda h: h["model_config"].update(alpha_const=float("nan")),
     "array_renamed": lambda h: h["arrays"][0].update(name="lstm_v"),
     "norm_mean_missing": lambda h: h["norm_stats"]["mean"].pop(),
     "norm_std_nan": lambda h: h["norm_stats"]["std"].__setitem__(0, float("nan")),
@@ -193,6 +198,14 @@ class TestTrain:
                      "--out", str(out), "--freq-downsample", "2"]) == 0
         meta = load_checkpoint(str(out)).meta["resolved_config"]
         assert meta["freq_downsample"] == 2
+
+    @pytest.mark.parametrize("factor", ["0", "-2"])
+    def test_freq_downsample_below_one_exits_2(self, env, tmp_path, capsys, factor):
+        out = tmp_path / "ds.ckpt"
+        assert main(["train", "--config", env["cfg"], "--data", str(env["train_csv"]),
+                     "--out", str(out), "--freq-downsample", factor]) == 2
+        assert "--freq-downsample" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_config_json_exits_2(self, env, tmp_path, capsys):
         bad = tmp_path / "broken.json"

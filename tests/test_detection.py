@@ -256,8 +256,8 @@ class TestScoringKernel:
         eps = np.random.default_rng(4).standard_normal(cfg.latent_size) if with_eps else None
         for w in _kernel_windows(trained_small):
             xn = (w - norm.mean) / norm.std
-            recon = generator_forward(xn, params, build_flow_masks(cfg), cfg, eps=eps)
-            want = np.abs(np.asarray(recon.reconstruction) - xn).sum()
+            recon = generator_forward(xn[None], params, build_flow_masks(cfg), cfg, eps=eps)
+            want = np.abs(np.asarray(recon.reconstruction)[0] - xn).sum()
             assert runtime.l1_error(w, eps) == pytest.approx(want, rel=_KERNEL_RTOL[dtype])
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])

@@ -76,7 +76,7 @@ def test_sparsity_lam_zero_and_negative():
 def test_adversarial_hand_case():
     cfg = _cfg()
     disc = _const_disc(cfg, 0.8)
-    z = np.random.default_rng(1).standard_normal(4)
+    z = np.random.default_rng(1).standard_normal((1, 4))
     val = _val(loss_adversarial_g(z, disc, cfg, beta=2.0))
     assert val == pytest.approx(2.0 * -np.log(0.8), rel=1e-9)
 
@@ -84,7 +84,7 @@ def test_adversarial_hand_case():
 def test_adversarial_beta_zero_is_zero():
     cfg = _cfg()
     disc = _const_disc(cfg, 0.3)
-    z = np.zeros(4)
+    z = np.zeros((1, 4))
     assert _val(loss_adversarial_g(z, disc, cfg, beta=0.0)) == 0.0
 
 
@@ -143,8 +143,8 @@ def test_generator_batch_mse_is_per_window_mean():
     _, parts = loss_generator(lp, w, gen, disc, cfg, lam=0.0, beta=0.0)
     singles = []
     for i in range(4):
-        lpi = generator_forward(w[i], gen, masks, cfg)
-        _, pi = loss_generator(lpi, w[i], gen, disc, cfg, lam=0.0, beta=0.0)
+        lpi = generator_forward(w[i : i + 1], gen, masks, cfg)
+        _, pi = loss_generator(lpi, w[i : i + 1], gen, disc, cfg, lam=0.0, beta=0.0)
         singles.append(pi.mse)
     assert parts.mse == pytest.approx(np.mean(singles), rel=1e-12)
 
@@ -155,7 +155,7 @@ def test_sparsity_switch_in_config_disables_term():
     gen = init_generator(cfg, rng)
     disc = init_discriminator(cfg, rng)
     masks = build_flow_masks(cfg)
-    w = rng.standard_normal((8, 3))
+    w = rng.standard_normal((1, 8, 3))
     lp = generator_forward(w, gen, masks, cfg)
     _, parts = loss_generator(lp, w, gen, disc, cfg, lam=1.0, beta=0.0)
     assert parts.sparsity == 0.0

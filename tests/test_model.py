@@ -103,21 +103,22 @@ def test_validate_masks_rejects_incomposable_shapes():
 def test_encode_zero_network_gives_zero_heads():
     cfg = _cfg()
     params = _zeroed(init_generator(cfg, np.random.default_rng(0)))
-    mu, logvar = encode(np.ones((8, 3)), params, cfg)
-    assert np.array_equal(np.asarray(mu), np.zeros(4))
-    assert np.array_equal(np.asarray(logvar), np.zeros(4))
+    mu, logvar = encode(np.ones((1, 8, 3)), params, cfg)
+    assert np.array_equal(np.asarray(mu), np.zeros((1, 4)))
+    assert np.array_equal(np.asarray(logvar), np.zeros((1, 4)))
 
 
 def test_encode_deterministic_and_shape_checked():
     cfg = _cfg()
     params = init_generator(cfg, np.random.default_rng(1))
-    w = np.random.default_rng(2).standard_normal((8, 3))
+    w = np.random.default_rng(2).standard_normal((1, 8, 3))
     a1, b1 = encode(w, params, cfg)
     a2, b2 = encode(w.copy(), params, cfg)
     assert np.array_equal(np.asarray(a1), np.asarray(a2))
     assert np.array_equal(np.asarray(b1), np.asarray(b2))
-    with pytest.raises(InputError):
-        encode(np.zeros((7, 3)), params, cfg)
+    for bad in (np.zeros((1, 7, 3)), np.zeros((8, 3))):  # wrong length; a lone window
+        with pytest.raises(InputError):
+            encode(bad, params, cfg)
 
 
 def test_encode_batch_matches_single():
@@ -126,9 +127,9 @@ def test_encode_batch_matches_single():
     ws = np.random.default_rng(4).standard_normal((3, 8, 3))
     mu_b, lv_b = encode(ws, params, cfg)
     for i in range(3):
-        mu_s, lv_s = encode(ws[i], params, cfg)
-        assert np.allclose(np.asarray(mu_b)[i], np.asarray(mu_s), atol=1e-14)
-        assert np.allclose(np.asarray(lv_b)[i], np.asarray(lv_s), atol=1e-14)
+        mu_s, lv_s = encode(ws[i : i + 1], params, cfg)
+        assert np.allclose(np.asarray(mu_b)[i], np.asarray(mu_s)[0], atol=1e-14)
+        assert np.allclose(np.asarray(lv_b)[i], np.asarray(lv_s)[0], atol=1e-14)
 
 
 # -- reparameterization ------------------------------------------------------
@@ -154,12 +155,12 @@ def test_made_last_input_never_matters():
     cfg = _cfg()
     params = init_generator(cfg, np.random.default_rng(5))
     m_enc, m_dec = build_flow_masks(cfg)
-    z = np.random.default_rng(6).standard_normal(4)
+    z = np.random.default_rng(6).standard_normal((1, 4))
     layer = (params["flow0_enc_w"], params["flow0_enc_b"],
              params["flow0_dec_w"], params["flow0_dec_b"])
     out1 = made_forward(z, *layer, m_enc, m_dec)
     z2 = z.copy()
-    z2[-1] += 123.0
+    z2[0, -1] += 123.0
     out2 = made_forward(z2, *layer, m_enc, m_dec)
     assert np.array_equal(np.asarray(out1), np.asarray(out2))
 
@@ -171,7 +172,7 @@ def test_made_output0_is_bias_only():
     layer = (params["flow0_enc_w"], params["flow0_enc_b"],
              params["flow0_dec_w"], params["flow0_dec_b"])
     rng = np.random.default_rng(8)
-    outs = [np.asarray(made_forward(rng.standard_normal(4), *layer, m_enc, m_dec))[0]
+    outs = [np.asarray(made_forward(rng.standard_normal((1, 4)), *layer, m_enc, m_dec))[0, 0]
             for _ in range(5)]
     assert all(o == outs[0] for o in outs)
 
@@ -181,13 +182,13 @@ def test_made_all_ones_jacobian_strictly_lower_triangular():
     m_enc, m_dec = build_masks(D, H)
     ones_ew, ones_eb = np.ones((D, H)), np.ones(H)
     ones_dw, ones_db = np.ones((H, D)), np.ones(D)
-    z = np.random.default_rng(9).standard_normal(D)
+    z = np.random.default_rng(9).standard_normal((1, D))
     h = 1e-6
-    base = np.asarray(made_forward(z, ones_ew, ones_eb, ones_dw, ones_db, m_enc, m_dec))
+    base = np.asarray(made_forward(z, ones_ew, ones_eb, ones_dw, ones_db, m_enc, m_dec))[0]
     for j in range(D):
         zp = z.copy()
-        zp[j] += h
-        col = (np.asarray(made_forward(zp, ones_ew, ones_eb, ones_dw, ones_db, m_enc, m_dec)) - base) / h
+        zp[0, j] += h
+        col = (np.asarray(made_forward(zp, ones_ew, ones_eb, ones_dw, ones_db, m_enc, m_dec))[0] - base) / h
         for i in range(D):
             if j >= i:
                 assert abs(col[i]) < 1e-7
@@ -203,13 +204,13 @@ def test_made_jacobian_random_params(D):
         eb = rng.standard_normal(H)
         dw = rng.standard_normal((H, D))
         db = rng.standard_normal(D)
-        z = rng.standard_normal(D)
-        base = np.asarray(made_forward(z, ew, eb, dw, db, m_enc, m_dec))
+        z = rng.standard_normal((1, D))
+        base = np.asarray(made_forward(z, ew, eb, dw, db, m_enc, m_dec))[0]
         h = 1e-6
         for j in range(D):
             zp = z.copy()
-            zp[j] += h
-            col = (np.asarray(made_forward(zp, ew, eb, dw, db, m_enc, m_dec)) - base) / h
+            zp[0, j] += h
+            col = (np.asarray(made_forward(zp, ew, eb, dw, db, m_enc, m_dec))[0] - base) / h
             assert np.abs(col[: j + 1]).max() < 1e-7  # outputs 0..j must ignore input j
 
 
@@ -217,7 +218,7 @@ def test_maf_zero_mades_is_identity():
     cfg = _cfg()
     params = _zeroed(init_generator(cfg, np.random.default_rng(0)))
     masks = build_flow_masks(cfg)
-    z = np.random.default_rng(1).standard_normal(4)
+    z = np.random.default_rng(1).standard_normal((1, 4))
     out = np.asarray(maf_forward(z, params, masks, cfg))
     assert np.array_equal(out, z)
 
@@ -228,7 +229,7 @@ def test_maf_bias_only_layer_adds_bias():
     c = np.array([0.5, -1.0, 2.0, 0.25])
     params["flow0_dec_b"] = c.copy()
     masks = build_flow_masks(cfg)
-    z = np.random.default_rng(2).standard_normal(4)
+    z = np.random.default_rng(2).standard_normal((1, 4))
     out = np.asarray(maf_forward(z, params, masks, cfg))
     assert np.allclose(out, z + c, atol=1e-15)
 
@@ -237,7 +238,7 @@ def test_maf_alpha_one_zero_mades_scales_e_squared():
     cfg = _cfg(flow_layers=2, alpha_const=1.0)
     params = _zeroed(init_generator(cfg, np.random.default_rng(0)))
     masks = build_flow_masks(cfg)
-    z = np.random.default_rng(3).standard_normal(4)
+    z = np.random.default_rng(3).standard_normal((1, 4))
     out = np.asarray(maf_forward(z, params, masks, cfg))
     assert np.allclose(out, np.exp(2.0) * z, rtol=1e-12)
 
@@ -246,7 +247,7 @@ def test_maf_inverse_identity_flow():
     cfg = _cfg()
     params = _zeroed(init_generator(cfg, np.random.default_rng(0)))
     masks = build_flow_masks(cfg)
-    z = np.random.default_rng(4).standard_normal(4)
+    z = np.random.default_rng(4).standard_normal((1, 4))
     assert np.array_equal(maf_inverse(z, params, masks, cfg), z)
 
 
@@ -256,9 +257,9 @@ def test_maf_inverse_bias_only_subtracts_in_reverse():
     params["flow0_dec_b"] = np.array([1.0, 0.0, 0.0, 0.0])
     params["flow1_dec_b"] = np.array([0.0, 2.0, 0.0, 0.0])
     masks = build_flow_masks(cfg)
-    z = np.zeros(4)
+    z = np.zeros((1, 4))
     fwd = np.asarray(maf_forward(z, params, masks, cfg))
-    assert np.allclose(fwd, [1.0, 2.0, 0.0, 0.0], atol=1e-15)
+    assert np.allclose(fwd, [[1.0, 2.0, 0.0, 0.0]], atol=1e-15)
     back = maf_inverse(fwd, params, masks, cfg)
     assert np.allclose(back, z, atol=1e-15)
 
@@ -280,21 +281,22 @@ def test_decode_zero_weights_is_bias_broadcast():
     cfg = _cfg()
     params = _zeroed(init_generator(cfg, np.random.default_rng(0)))
     params["dec2_b"] = np.arange(24, dtype=np.float64)  # window_len*n = 8*3
-    out = np.asarray(decode(np.ones(4), params, cfg))
-    assert out.shape == (8, 3)
+    out = np.asarray(decode(np.ones((1, 4)), params, cfg))
+    assert out.shape == (1, 8, 3)
     assert np.array_equal(out.ravel(), np.arange(24, dtype=np.float64))
 
 
 def test_decode_shape_and_determinism():
     cfg = _cfg()
     params = init_generator(cfg, np.random.default_rng(12))
-    z = np.random.default_rng(13).standard_normal(4)
+    z = np.random.default_rng(13).standard_normal((1, 4))
     out1 = np.asarray(decode(z, params, cfg))
     out2 = np.asarray(decode(z.copy(), params, cfg))
-    assert out1.shape == (cfg.window_len, cfg.n_signals)
+    assert out1.shape == (1, cfg.window_len, cfg.n_signals)
     assert np.array_equal(out1, out2)
-    with pytest.raises(InputError):
-        decode(np.zeros(5), params, cfg)
+    for bad in (np.zeros((1, 5)), np.zeros(4)):  # wrong length; a lone latent
+        with pytest.raises(InputError):
+            decode(bad, params, cfg)
 
 
 # -- full generator ----------------------------------------------------------
@@ -304,9 +306,9 @@ def test_generator_zero_network():
     cfg = _cfg()
     params = _zeroed(init_generator(cfg, np.random.default_rng(0)))
     params["dec2_b"] = np.full(24, 0.75)
-    lp = generator_forward(np.ones((8, 3)), params, build_flow_masks(cfg), cfg)
-    assert np.array_equal(np.asarray(lp.mu), np.zeros(4))
-    assert np.array_equal(np.asarray(lp.zk), np.zeros(4))
+    lp = generator_forward(np.ones((1, 8, 3)), params, build_flow_masks(cfg), cfg)
+    assert np.array_equal(np.asarray(lp.mu), np.zeros((1, 4)))
+    assert np.array_equal(np.asarray(lp.zk), np.zeros((1, 4)))
     assert np.allclose(np.asarray(lp.reconstruction), 0.75)
 
 
@@ -314,7 +316,7 @@ def test_generator_flow_off_zk_equals_z0_and_ignores_made_params():
     cfg_off = _cfg(use_flow=False)
     rng = np.random.default_rng(14)
     params = init_generator(cfg_off, rng)
-    w = rng.standard_normal((8, 3))
+    w = rng.standard_normal((1, 8, 3))
     lp1 = generator_forward(w, params, None, cfg_off)
     assert np.array_equal(np.asarray(lp1.zk), np.asarray(lp1.z0))
     mutated = dict(params)
@@ -328,7 +330,7 @@ def test_generator_eps_zero_bit_identical():
     cfg = _cfg()
     params = init_generator(cfg, np.random.default_rng(15))
     masks = build_flow_masks(cfg)
-    w = np.random.default_rng(16).standard_normal((8, 3))
+    w = np.random.default_rng(16).standard_normal((1, 8, 3))
     lp1 = generator_forward(w, params, masks, cfg)
     lp2 = generator_forward(w, params, masks, cfg)
     for field in ("mu", "logvar", "z0", "zk", "reconstruction"):
@@ -358,8 +360,8 @@ def test_generator_loss_tape_size_does_not_grow_with_window_len():
 def test_discriminate_zero_network_is_half():
     cfg = _cfg()
     params = _zeroed(init_discriminator(cfg, np.random.default_rng(0)))
-    p = discriminate(np.ones(4), params, cfg)
-    assert float(np.asarray(p)) == 0.5
+    p = discriminate(np.ones((1, 4)), params, cfg)
+    assert float(np.asarray(p)[0, 0]) == 0.5
 
 
 def test_discriminate_in_open_unit_interval():
@@ -374,11 +376,11 @@ def test_discriminate_in_open_unit_interval():
 def test_discriminate_monotone_in_output_bias():
     cfg = _cfg()
     params = init_discriminator(cfg, np.random.default_rng(19))
-    z = np.random.default_rng(20).standard_normal(4)
-    p_low = float(np.asarray(discriminate(z, params, cfg)))
+    z = np.random.default_rng(20).standard_normal((1, 4))
+    p_low = float(np.asarray(discriminate(z, params, cfg))[0, 0])
     raised = dict(params)
     raised["disc_out_b"] = params["disc_out_b"] + 1.0
-    p_high = float(np.asarray(discriminate(z, raised, cfg)))
+    p_high = float(np.asarray(discriminate(z, raised, cfg))[0, 0])
     assert p_high > p_low
 
 

@@ -136,7 +136,7 @@ class TestPriorBuffer:
     def test_single_vector_dominates(self):
         buf = PriorBuffer(capacity=8, latent_size=3)
         v = np.array([1.0, -2.0, 0.5])
-        buf.push(v)
+        buf.push(v[None])
         z = buf.sample(10, np.random.default_rng(1))
         assert np.all(z == v)
 
@@ -153,7 +153,7 @@ class TestPriorBuffer:
     def test_fifo_eviction(self):
         buf = PriorBuffer(capacity=3, latent_size=1)
         for k in range(5):
-            buf.push(np.array([float(k)]))
+            buf.push(np.array([[float(k)]]))
         assert len(buf) == 3
         z = buf.sample(100, np.random.default_rng(3))
         assert set(z.ravel()) <= {2.0, 3.0, 4.0}
