@@ -214,7 +214,7 @@ def reshape(x, shape):
 
 def halve_gates(w: np.ndarray) -> np.ndarray:
     """A copy of w (..., 4H) with its i/f/o columns halved, the scaling
-    that `lstm_steps` expects of its pre-activations and recurrent weight.
+    that `lstm_step` expects of its pre-activations and recurrent weight.
 
     sigma(v) = (1 + tanh(v/2)) / 2, so with the sigmoid gates' weights
     and bias halved once, one tanh covers all 4H gates. Halving is exact
@@ -255,43 +255,15 @@ def lstm_step(a, s, i, f, o, u, h, c, h_next, c_next, tc, w_h, half):
     np.multiply(o, tc, out=h_next)
 
 
-def lstm_steps(acts: np.ndarray, w_h: np.ndarray):
-    """The LSTM recurrence of the training tape's op (`lstm`), over
-    time-major pre-activations, keeping every step's states for backprop
-    through time. `lstm_step` is its one step; scoring
-    (`fastpath._forward_l1`) and the stream detector run that step over
-    one state buffer, since they need only the final state.
-
-    acts is (T, ..., 4H): each step's input projection plus bias, with
-    the gates [i|f|o|g] and the i/f/o columns halved (`halve_gates`);
-    w_h is the halved (H, 4H) recurrent weight. The middle axes decide
-    the products: (T, B, 4H) makes one gemm per step, and (T, B, 1, 4H)
-    one gemv per row, so a row's states do not depend on B. The states
-    keep acts' dtype, and acts is overwritten with the gate activations.
-    Returns (hs, cs, tcs): hs and cs are (T+1, ..., H) and start at the
-    zero state, and tcs (T, ..., H) is tanh(cs[1:]).
-    """
-    T, H = acts.shape[0], acts.shape[-1] // 4
-    hs = np.zeros((T + 1,) + acts.shape[1:-1] + (H,), dtype=acts.dtype)
-    cs = np.zeros_like(hs)
-    tcs = np.empty_like(hs[1:])
-    half = np.array(0.5, dtype=acts.dtype)
-    # The loop is bound by per-call overhead: its views are made once, zipped.
-    for a, s, i, f, o, u, h, h_next, c, c_next, tc in zip(
-        acts, *lstm_gates(acts), hs[:-1], hs[1:], cs[:-1], cs[1:], tcs
-    ):
-        lstm_step(a, s, i, f, o, u, h, c, h_next, c_next, tc, w_h, half)
-    return hs, cs, tcs
-
-
 def lstm(x, w, b, hidden: int):
     """Final hidden state (B, H) of an LSTM over the constant input x.
 
     x is (B, T, n); w is (n+H, 4H) with the input rows first; b is (4H,);
     the gate layout is [i|f|o|g]. The whole sequence is one graph node:
-    the forward pass is `lstm_steps`, which keeps every step's activations,
-    and the backward pass runs backprop through time over them, ending in
-    one product each for the input rows, the recurrent rows and the bias.
+    the forward pass runs `lstm_step` time-major, keeping every step's
+    activations and states, and the backward pass runs backprop through
+    time over them, ending in one product each for the input rows, the
+    recurrent rows and the bias.
     The backward pass writes the gates' local factors over the saved
     activations, so it runs once, as the tape guarantees (`_run_backward`).
     Given plain ndarrays it returns an ndarray and records nothing.
@@ -305,7 +277,15 @@ def lstm(x, w, b, hidden: int):
     acts = xs @ w_half[:n]
     acts += halve_gates(bd)
     acts = acts.reshape(T, B, 4 * H)
-    hs, cs, tcs = lstm_steps(acts, w_half[n:])
+    # hs, cs run from the zero state; tcs is tanh(cs[1:]).
+    hs, cs = np.zeros((2, T + 1, B, H))
+    tcs = np.empty((T, B, H))
+    w_h, half = w_half[n:], np.array(0.5)
+    # The loop is bound by per-call overhead: its views are made once, zipped.
+    for a, s, i, f, o, u, h, h_next, c, c_next, tc in zip(
+        acts, *lstm_gates(acts), hs[:-1], hs[1:], cs[:-1], cs[1:], tcs
+    ):
+        lstm_step(a, s, i, f, o, u, h, c, h_next, c_next, tc, w_h, half)
     out = hs[T]
     if not (tw or tb):
         return out

@@ -51,6 +51,9 @@ def save_checkpoint(path, ckpt: Checkpoint) -> Path:
             raise InputError(f"{group} arrays do not match the config's layout")
         for name in layout:
             arr = np.ascontiguousarray(arrays[name], dtype="<f8")
+            if arr.shape != layout[name]:
+                raise InputError(f"{group} array '{name}' has shape {arr.shape}, "
+                                 f"its model_config wants {layout[name]}")
             if not np.all(np.isfinite(arr)):
                 raise InputError(f"array '{name}' contains non-finite values")
             manifest.append({"group": group, "name": name, "shape": list(arr.shape)})

@@ -4,6 +4,7 @@ builds, so that a wrong key or type exits 2 naming it."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
@@ -66,6 +67,9 @@ def build_config(cls, cfg: dict, name: str, **flags):
     sec = config_section(cfg, name)
     sec.update((k, v) for k, v in flags.items() if v is not None)
     check_types(name, sec, typing.get_type_hints(cls))
+    for f in dataclasses.fields(cls):
+        if f.name not in sec and f.default is f.default_factory is dataclasses.MISSING:
+            raise InputError(f"bad {name} config: missing key '{f.name}'")
     try:
         return cls(**sec)
     except InputError as e:  # a value cls rejects

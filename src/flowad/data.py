@@ -356,7 +356,7 @@ def _load_bulk(csv_path: Path, sample_rate_hz: float, declared_n: int | None) ->
         frames = np.empty((0, n))
         seen: set[str] = set()
         n_rows = 0
-        cur_len = 0  # rows so far of the record the last chunk ended in
+        last = (None, None, None, 0)  # the row before the chunk: id, label, type, frame_idx
         while lines := list(itertools.islice(fh, _CHUNK_LINES)):
             text = "".join(lines)
             if max(map(len, lines)) > limit or any(c in text for c in _C0_SEPARATORS):
@@ -374,39 +374,33 @@ def _load_bulk(csv_path: Path, sample_rate_hz: float, declared_n: int | None) ->
             # newline; the row loop rejects the first and reads the second.
             if len(rows) != len(lines) or not np.isfinite(rows["sig"]).all():
                 return None
-            ids, labels, types = rows["sample_id"], rows["label"], rows["anomaly_type"]
-            new = np.empty(len(rows), dtype=bool)
-            new[0] = not heads or ids[0] != heads[-1][1]
-            new[1:] = ids[1:] != ids[:-1]
-            starts = np.flatnonzero(new)
-            # Run r of this chunk starts at row first[r]; run 0 continues the
-            # record the last chunk ended in (it is empty when new[0]).
-            run = np.cumsum(new)
-            first = np.concatenate(([-cur_len], starts))
-            prev = heads[-1] if heads else (0, "", "", "")
-            head_labels = np.array([prev[2], *labels[starts]], dtype=object)
-            head_types = np.array([prev[3], *types[starts]], dtype=object)
-            if (labels != head_labels[run]).any() or (types != head_types[run]).any():
-                return None
             try:
                 idx = np.fromiter(map(int, rows["frame_idx"]), dtype=np.int64, count=len(rows))
             except (ValueError, OverflowError):
                 return None
-            if (idx != np.arange(len(rows)) - first[run]).any():
+            # Each column gets the row before the chunk in front. Every row
+            # starts a record (a new id at frame 0) or continues the row
+            # before it (the same id, label and type, one frame later).
+            ids, labels, types, idx = (
+                np.concatenate(([a], b)) for a, b in
+                zip(last, (rows["sample_id"], rows["label"], rows["anomaly_type"], idx)))
+            new = ids[1:] != ids[:-1]
+            same = (labels[1:] == labels[:-1]) & (types[1:] == types[:-1])
+            if not np.where(new, idx[1:] == 0, same & (idx[1:] == idx[:-1] + 1)).all():
                 return None
-            for s in starts:
+            for s in np.flatnonzero(new) + 1:
                 sid, atype = ids[s], types[s]
                 if sid in seen or _undecodable((sid, atype)) is not None:
                     return None
                 seen.add(sid)
-                heads.append((n_rows + int(s), sid, labels[s], atype))
-            cur_len = len(rows) - int(starts[-1]) if len(starts) else cur_len + len(rows)
+                heads.append((n_rows + int(s) - 1, sid, labels[s], atype))
+            last = ids[-1], labels[-1], types[-1], idx[-1]
             # No view of frames exists yet; realloc grows it in place where
             # it can, so each frame is copied once, out of the parsed chunk.
             frames.resize((n_rows + len(rows), n), refcheck=False)
             frames[n_rows:] = rows["sig"]
             n_rows += len(rows)
-            del lines, text, rows, ids, labels, types  # before the next chunk is read
+            del lines, text, rows, ids, labels, types, idx  # before the next chunk is read
     if not heads:
         return None
     ends = [h[0] for h in heads[1:]] + [n_rows]

@@ -7,9 +7,9 @@ are folded into the MADE weights, and one fused numpy kernel,
 three parts: `_project` (each frame's input projection), the recurrence,
 which runs `autodiff.lstm_step` in place over one state buffer and keeps
 no step's states, and `_tail_l1` (heads, eps, flow, decoder, L1). The
-training tape's LSTM op runs the same step through `autodiff.lstm_steps`,
-which keeps every step's states for backprop. It is vectorized over the
-hidden units, which keeps one window within the acceptance latency bound
+training tape's LSTM op (`autodiff.lstm`) runs the same step and keeps
+every step's states for backprop. It is vectorized over the hidden
+units, which keeps one window within the acceptance latency bound
 (criterion 8) without a compiler, and it sums the L1 in float64.
 
 The contract is batch-first, and `ScoringRuntime.l1_errors` is its one
@@ -117,15 +117,6 @@ def _forward_l1(x, w_x, w_h, b_g, *tail):
     return _tail_l1(h, x, *tail)
 
 
-def _as_rows(weights):
-    """`weights`, nested tuples included, with each bias (1-D) shaped
-    (1, 1, K) like one window's state, so that adding it to one window
-    does not broadcast, which numpy serves about twice as fast."""
-    if isinstance(weights, tuple):
-        return tuple(map(_as_rows, weights))
-    return weights.reshape(1, 1, -1) if weights.ndim == 1 else weights
-
-
 BACKEND = "numpy"
 # The environment variables that set the BLAS library's thread count.
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -144,23 +135,27 @@ class ScoringRuntime:
         a = gen_arrays
         n, dt = config.n_signals, self.dtype
         cast = lambda arr: np.ascontiguousarray(arr, dtype=dt)
+        # Each bias is shaped (1, 1, K) like one window's state, so that
+        # adding it to one window does not broadcast, which numpy serves
+        # about twice as fast.
+        bias = lambda arr: cast(arr).reshape(1, 1, -1)
         flow = ()
         if config.use_flow and config.flow_layers > 0:
             m_enc, m_dec = build_flow_masks(config)
             # Fold the masks into the weights once.
             flow = tuple(
-                (cast(a[f"flow{k}_enc_w"] * m_enc), cast(a[f"flow{k}_enc_b"]),
-                 cast(a[f"flow{k}_dec_w"] * m_dec), cast(a[f"flow{k}_dec_b"]))
+                (cast(a[f"flow{k}_enc_w"] * m_enc), bias(a[f"flow{k}_enc_b"]),
+                 cast(a[f"flow{k}_dec_w"] * m_dec), bias(a[f"flow{k}_dec_b"]))
                 for k in range(config.flow_layers)
             )
         # The kernel's arguments between the window and eps, in order.
         # The LSTM's sigmoid-gate columns come halved (`halve_gates`).
         self._weights = (
             halve_gates(cast(a["lstm_w"][:n])), halve_gates(cast(a["lstm_w"][n:])),
-            halve_gates(cast(a["lstm_b"])),
-            cast(a["mu_w"]), cast(a["mu_b"]), cast(a["logvar_w"]), cast(a["logvar_b"]),
+            halve_gates(bias(a["lstm_b"])),
+            cast(a["mu_w"]), bias(a["mu_b"]), cast(a["logvar_w"]), bias(a["logvar_b"]),
             flow, dt.type(math.exp(config.alpha_const)), dt.type(0),
-            cast(a["dec1_w"]), cast(a["dec1_b"]), cast(a["dec2_w"]), cast(a["dec2_b"]),
+            cast(a["dec1_w"]), bias(a["dec1_b"]), cast(a["dec2_w"]), bias(a["dec2_b"]),
         )
         # (1, N): a stream block of one frame normalizes without broadcasting.
         self._mean = np.array(norm_stats.mean, dtype=np.float64).reshape(1, -1)
@@ -233,8 +228,8 @@ class WindowsInFlight:
         self.count = 0  # frames fed so far
         self._T = (window_len, stride, -(-window_len // stride))
         self._runtime = runtime
-        w_x, self._w_h, b_g, *tail = runtime._weights
-        self._proj, self._tail = _as_rows((w_x, b_g)), _as_rows(tuple(tail))
+        w_x, self._w_h, b_g, *self._tail = runtime._weights
+        self._proj = w_x, b_g
         # Normalized frames from frame `_first` on: the last T_W before the
         # block, then the block; shifted to the front when a block overruns.
         self._hist, self._first = np.zeros((2 * window_len, N), dtype=dt), -window_len

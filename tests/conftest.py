@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from flowad.autodiff import lstm_gates, lstm_step
 from flowad.data import WindowingConfig, sliding_windows
 from flowad.detection import calibrate
 from flowad.fastpath import ScoringRuntime
@@ -50,3 +51,22 @@ def trained_small():
 
 def rng_for(test_seed: int) -> np.random.Generator:
     return np.random.default_rng(test_seed)
+
+
+def lstm_states(acts: np.ndarray, w_h: np.ndarray):
+    """Every step's LSTM states over time-major pre-activations acts
+    (T, ..., 4H), from one `lstm_step` per step. The i/f/o columns of acts
+    and of the recurrent weight w_h come halved (`halve_gates`); acts is
+    overwritten with the gate activations. The middle axes decide the
+    products: (T, B, 4H) makes one gemm per step, and (T, B, 1, 4H) one
+    gemv per row. Returns (hs, cs, tcs) of acts' dtype: hs and cs are
+    (T+1, ..., H) from the zero state, and tcs (T, ..., H) is tanh(cs[1:]).
+    """
+    T, H = acts.shape[0], acts.shape[-1] // 4
+    hs = np.zeros((T + 1,) + acts.shape[1:-1] + (H,), dtype=acts.dtype)
+    cs = np.zeros_like(hs)
+    tcs = np.empty_like(hs[1:])
+    half = np.array(0.5, dtype=acts.dtype)
+    for t, a in enumerate(acts):
+        lstm_step(a, *lstm_gates(a), hs[t], cs[t], hs[t + 1], cs[t + 1], tcs[t], w_h, half)
+    return hs, cs, tcs

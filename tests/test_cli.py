@@ -101,6 +101,7 @@ def _frames_file(env, path, n_signals=4, rows=None, record_idx=0):
 _HEADER_EDITS = {
     "flow_layers": lambda h: h["model_config"].update(flow_layers=5),
     "hidden_size": lambda h: h["model_config"].update(hidden_size=9),  # arrays have 8 units
+    "n_signals_missing": lambda h: h["model_config"].pop("n_signals"),
     "n_signals_float": lambda h: h["model_config"].update(
         n_signals=float(h["model_config"]["n_signals"])),
     "window_len_float": lambda h: h["model_config"].update(
@@ -347,7 +348,9 @@ class TestEval:
         code = main(["eval", "--config", env["cfg"], "--checkpoint", str(bad),
                      "--data", str(env["test_csv"]), "--out", str(tmp_path / "r.json")])
         assert code == 2
-        assert "error: checkpoint" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: checkpoint" in err
+        assert "Error(" not in err  # worded, not an exception's repr
 
     @pytest.mark.parametrize("damage", ["truncated", "keyless"])
     def test_corrupt_dataset_manifest_exits_2(self, env, tmp_path, capsys, damage):

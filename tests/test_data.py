@@ -387,6 +387,7 @@ _CELL_EDITS = {
     "quoted_comma_id": (0, '"s,x"'),
     "repeat_id": (0, "s0"),
     "frame_idx_gap": (1, "7"),
+    "frame_idx_restart": (1, "0"),
     "label_flip": (2, "anomalous"),
     "type_flip": (3, "drift"),
     **{v: (None, v) for v in ["1_0", "\uff11", "nan", "1e400", " 1.5 ", "1.5\x1c",

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowad import autodiff, fastpath
+from conftest import lstm_states
+from flowad import fastpath
 from flowad.data import NormStats, WindowingConfig, sliding_windows, window_count
 from flowad.detection import (
     CalibrationStats,
@@ -164,7 +165,10 @@ def _scalar_forward_l1(x, w_x, w_h, b_g, mu_w, mu_b, lv_w, lv_b,
     """L1 between the normalized window x (T, N) and its reconstruction,
     one unit at a time: the interpreted reference for `fastpath._forward_l1`,
     which takes the same arguments. As there, the i/f/o columns of w_x,
-    w_h and b_g come halved, so the sigmoid gates double them back."""
+    w_h and b_g come halved, so the sigmoid gates double them back; the
+    biases come shaped (1, 1, K), and are read flat."""
+    b_g, mu_b, lv_b, d1_b, d2_b = (b.ravel() for b in (b_g, mu_b, lv_b, d1_b, d2_b))
+    flow = [(enc_w, enc_b.ravel(), dec_w, dec_b.ravel()) for enc_w, enc_b, dec_w, dec_b in flow]
     T, n = x.shape
     H = b_g.shape[0] // 4
     h = np.zeros(H, dtype=x.dtype)
@@ -324,7 +328,7 @@ class TestScoringKernel:
         for B in range(1, 34):
             xn = runtime.normalize(windows[:B])
             xp = fastpath._project(xn, w_x, b_g)
-            h = autodiff.lstm_steps(np.moveaxis(xp, -3, 0), w_h)[0][-1]
+            h = lstm_states(np.moveaxis(xp, -3, 0), w_h)[0][-1]
             want = _out_of_place_tail_l1(h, xn, *tail, eps[:B].astype(dtype))
             got = runtime.l1_errors(windows[:B], eps[:B])
             assert got.tobytes() == want.tobytes(), f"B={B}"

@@ -542,6 +542,19 @@ def test_checkpoint_rejects_mismatched_layout(tmp_path):
         save_checkpoint(tmp_path / "x.ckpt", Checkpoint(cfg, gen, disc, stats))
 
 
+def test_checkpoint_rejects_a_wrong_shaped_array_at_save(tmp_path):
+    cfg = _cfg()
+    rng = np.random.default_rng(24)
+    gen = init_generator(cfg, rng)
+    disc = init_discriminator(cfg, rng)
+    gen["mu_b"] = np.append(gen["mu_b"], 0.0)
+    stats = NormStats(mean=np.zeros(3), std=np.ones(3))
+    path = tmp_path / "x.ckpt"
+    with pytest.raises(InputError, match="generator array 'mu_b' has shape"):
+        save_checkpoint(path, Checkpoint(cfg, gen, disc, stats))
+    assert not path.exists()
+
+
 def test_checkpoint_rejects_nonfinite(tmp_path):
     cfg = _cfg()
     rng = np.random.default_rng(23)

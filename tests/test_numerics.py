@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import flowad.autodiff as ad
+from conftest import lstm_states
 from flowad.errors import InputError, NonFiniteError
 from flowad.losses import loss_generator
 from flowad.model import (
@@ -317,7 +318,7 @@ def _out_of_place_lstm(x, w, b, hidden):
     xs = xd.transpose(1, 0, 2).reshape(T * B, n)
     w_half = ad.halve_gates(wd)
     acts = (xs @ w_half[:n] + ad.halve_gates(bd)).reshape(T, B, 4 * H)
-    hs, cs, tcs = ad.lstm_steps(acts, w_half[n:])
+    hs, cs, tcs = lstm_states(acts, w_half[n:])
 
     def backward(g):
         i, f = acts[..., :H], acts[..., H : 2 * H]
@@ -395,26 +396,26 @@ def test_value_and_grad_releases_the_tape_as_backward_runs():
     assert peak <= 2 * saved
 
 
-def test_lstm_steps_keeps_float32():
+def test_lstm_step_keeps_float32():
     x, w, b, _ = _lstm_case(B=3, T=6, n=2, H=4, seed=10)
     w, b = ad.halve_gates(w), ad.halve_gates(b)
     acts = (x.transpose(1, 0, 2) @ w[:2] + b).astype(np.float32)
-    states = ad.lstm_steps(acts, w[2:].astype(np.float32))
+    states = lstm_states(acts, w[2:].astype(np.float32))
     assert acts.dtype == np.float32
     assert [s.dtype for s in states] == [np.float32] * 3
     assert [s.shape for s in states] == [(7, 3, 4), (7, 3, 4), (6, 3, 4)]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_lstm_steps_rows_do_not_depend_on_batch_size(dtype):
+def test_lstm_step_rows_do_not_depend_on_batch_size(dtype):
     # Shaped (T, B, 1, 4H), every product is one gemv per row.
     x, w, b, _ = _lstm_case(B=7, T=30, n=3, H=16, seed=11)
     w, b = ad.halve_gates(w), ad.halve_gates(b)
     acts = (x @ w[:3] + b).astype(dtype).transpose(1, 0, 2)[:, :, None, :]
     w_h = w[3:].astype(dtype)
-    batch = ad.lstm_steps(acts.copy(), w_h)[0][-1]
+    batch = lstm_states(acts.copy(), w_h)[0][-1]
     for row in range(7):
-        alone = ad.lstm_steps(acts[:, row : row + 1].copy(), w_h)[0][-1]
+        alone = lstm_states(acts[:, row : row + 1].copy(), w_h)[0][-1]
         assert alone.tobytes() == batch[row : row + 1].tobytes(), row
 
 
