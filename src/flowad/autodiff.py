@@ -264,8 +264,9 @@ def lstm(x, w, b, hidden: int):
     activations and states, and the backward pass runs backprop through
     time over them, ending in one product each for the input rows, the
     recurrent rows and the bias.
-    The backward pass writes the gates' local factors over the saved
-    activations, so it runs once, as the tape guarantees (`_run_backward`).
+    The backward pass builds the gates' local factors in place, over the
+    saved activations, tanh(c) and cells, so it runs once, as the tape
+    guarantees (`_run_backward`).
     Given plain ndarrays it returns an ndarray and records nothing.
     """
     tw, tb = isinstance(w, Tensor), isinstance(b, Tensor)
@@ -293,19 +294,30 @@ def lstm(x, w, b, hidden: int):
     def backward(g):
         i, f = acts[..., :H], acts[..., H : 2 * H]
         o, u = acts[..., 2 * H : 3 * H], acts[..., 3 * H :]  # u: the g gate
-        dc_dh = o * (1.0 - tcs * tcs)
-        du = u * u
-        np.subtract(1.0, du, out=du)
-        du *= i
-        f_t = f.copy()
+
+        def factor(gate, partner):
+            # gate <- (partner * gate) * (1 - gate), consuming partner.
+            partner *= gate
+            np.subtract(1.0, gate, out=gate)
+            gate *= partner
+
         # dA, written over acts gate by gate, starts as each gate's local
         # factor d(gate)/d(pre-activation) times what multiplies it; the
-        # step loop scales it by dc or dh.
-        one_minus = np.empty_like(tcs)
-        for gate, partner in ((i, u), (f, cs[:-1]), (o, tcs)):
-            np.subtract(1.0, gate, out=one_minus)
-            np.multiply(partner, gate, out=gate)
-            gate *= one_minus
+        # step loop scales it by dc or dh. Once tanh(c) and the previous
+        # cells are consumed, they hold f and the g gate's factor, so
+        # dc_dh is the one new (T, B, H) array.
+        dc_dh = np.multiply(tcs, tcs)
+        np.subtract(1.0, dc_dh, out=dc_dh)
+        dc_dh *= o
+        factor(o, tcs)
+        f_t = tcs
+        f_t[...] = f
+        factor(f, cs[:-1])
+        du = cs[:-1]
+        np.multiply(u, u, out=du)
+        np.subtract(1.0, du, out=du)
+        du *= i
+        factor(i, u)
         u[...] = du
         dA = acts
         dA4 = dA.reshape(T, B, 4, H)

@@ -11,7 +11,6 @@ runs produce identical files.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -22,6 +21,16 @@ from .config import build_config
 from .data import NormStats, require_file
 from .errors import InputError
 from .model import ModelConfig, discriminator_array_shapes, generator_array_shapes
+
+# CPython's built-in SHA-256, as `random` takes its sha512: `hashlib` maps
+# OpenSSL's libcrypto (about 3.6 MB resident) for this one digest.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 MAGIC = b"FLOWCKPT"
 FORMAT_VERSION = 1
@@ -66,7 +75,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> Path:
         "norm_stats": ckpt.norm_stats.to_dict(),
         "calibration": ckpt.calibration,
         "arrays": manifest,
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
+        "payload_sha256": sha256(payload).hexdigest(),
         "meta": ckpt.meta or {},
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
@@ -109,7 +118,7 @@ def load_checkpoint(path) -> Checkpoint:
             f"unsupported checkpoint format version {header['format_version']}"
         )
     payload = raw[12 + hlen :]
-    if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
+    if sha256(payload).hexdigest() != header["payload_sha256"]:
         raise InputError("checkpoint payload digest mismatch; file is corrupted")
 
     try:

@@ -5,12 +5,13 @@ sigmoid-gate columns are halved once (`autodiff.halve_gates`), flow masks
 are folded into the MADE weights, and one fused numpy kernel,
 `_forward_l1`, performs normalize -> encode -> flow -> decode -> L1. It is
 three parts: `_project` (each frame's input projection), the recurrence,
-which runs `autodiff.lstm_step` in place over one state buffer and keeps
-no step's states, and `_tail_l1` (heads, eps, flow, decoder, L1). The
-training tape's LSTM op (`autodiff.lstm`) runs the same step and keeps
-every step's states for backprop. It is vectorized over the hidden
-units, which keeps one window within the acceptance latency bound
-(criterion 8) without a compiler, and it sums the L1 in float64.
+which projects each step's frames and runs `autodiff.lstm_step` in place
+over one state buffer, keeping no step's projections or states, and
+`_tail_l1` (heads, eps, flow, decoder, L1). The training tape's LSTM op
+(`autodiff.lstm`) runs the same step and keeps every step's states for
+backprop. It is vectorized over the hidden units, which keeps one window
+within the acceptance latency bound (criterion 8) without a compiler,
+and it sums the L1 in float64.
 
 The contract is batch-first, and `ScoringRuntime.l1_errors` is its one
 entry point: it scores a (B, T, N) batch, as calibration and evaluation
@@ -39,11 +40,11 @@ from .errors import InputError
 from .model import ModelConfig, build_flow_masks
 
 
-def _project(x, w_x, b_g):
-    """Gate pre-activations (..., 1, 4H) of normalized frames x (..., N):
-    one (1, N) @ (N, 4H) gemv per frame, whether the frame rides in a
-    batch of windows or in a block of the stream."""
-    xp = x[..., None, :] @ w_x
+def _project(x, w_x, b_g, out=None):
+    """Gate pre-activations (..., 1, 4H) of normalized frames x (..., N),
+    written to out if given: one (1, N) @ (N, 4H) gemv per frame, whether
+    the frame rides in a batch of windows or in a block of the stream."""
+    xp = np.matmul(x[..., None, :], w_x, out=out)
     xp += b_g
     return xp
 
@@ -101,19 +102,18 @@ def _forward_l1(x, w_x, w_h, b_g, *tail):
     w_x, w_h and b_g come with their i/f/o columns halved (`halve_gates`).
     Returns the (...) errors.
 
-    Each frame is projected alone (`_project`), and `lstm_step` runs over
-    one state buffer with each window's state shaped (1, H), so every
-    product is one gemv per frame or per window: a window's result does
-    not depend on the batch it rides in. No step's states are kept.
+    Each step projects its frame of every window into the activations
+    buffer (`_project`), and `lstm_step` runs over one state buffer with
+    each window's state shaped (1, H), so every product is one gemv per
+    frame or per window: a window's result does not depend on the batch
+    it rides in. Neither the projections nor any step's states are kept.
     """
-    xp = _project(x, w_x, b_g)
-    acts = np.empty_like(xp[..., 0, :, :])
+    acts = np.empty(x.shape[:-2] + (1, w_x.shape[1]), dtype=x.dtype)
     h, c, tc = np.zeros((3,) + acts.shape[:-1] + w_h.shape[:1], dtype=acts.dtype)
     step = _step_operands(acts, h, c, tc, w_h)
-    for t in range(xp.shape[-3]):
-        acts[...] = xp[..., t, :, :]
+    for t in range(x.shape[-2]):
+        _project(x[..., t, :], w_x, b_g, out=acts)
         lstm_step(*step)
-    del xp  # the tail's temporaries need not sit beside every projection
     return _tail_l1(h, x, *tail)
 
 

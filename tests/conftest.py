@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,17 @@ def trained_small():
 
 def rng_for(test_seed: int) -> np.random.Generator:
     return np.random.default_rng(test_seed)
+
+
+def traced_peak(fn, *args) -> int:
+    """The tracemalloc peak of one call fn(*args), in bytes: the most it
+    held at once beyond what was allocated before the call."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def lstm_states(acts: np.ndarray, w_h: np.ndarray):

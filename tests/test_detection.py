@@ -5,7 +5,6 @@ streaming detector."""
 import dataclasses
 import math
 import time
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import lstm_states
+from conftest import lstm_states, traced_peak
 from flowad import fastpath
 from flowad.data import NormStats, WindowingConfig, sliding_windows, window_count
 from flowad.detection import (
@@ -336,24 +335,17 @@ class TestScoringKernel:
                 assert runtime.l1_errors(windows[:B]).tobytes() == want.tobytes(), f"B={B}"
 
     def test_scoring_a_batch_keeps_no_per_step_history(self):
-        # Beyond the frames' projections and the normalized windows, a call
-        # holds only O(B * H) states: no (T+1)-long h, c or tanh(c) history.
+        # Normalizing makes two float64 copies of the windows; beyond them a
+        # call holds only O(B * 4H) states, which do not grow with T: no
+        # (B, T, 4H) projection of every frame (1.8 MB here) and no
+        # (T+1)-long h, c or tanh(c) history.
         cfg = ModelConfig(n_signals=12, window_len=150)
         rng = np.random.default_rng(4)
         norm = NormStats(mean=np.zeros(12), std=np.ones(12))
         runtime = fastpath.ScoringRuntime(cfg, init_generator(cfg, rng), norm)
         windows = rng.standard_normal((32, 150, 12))
         runtime.l1_errors(windows)
-        tracemalloc.start()
-        try:
-            runtime.l1_errors(windows)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        size = runtime.dtype.itemsize
-        projection = 32 * 150 * 4 * runtime.config.hidden_size * size
-        normalized = 32 * 150 * 12 * size
-        assert peak < 1.1 * (projection + normalized)
+        assert traced_peak(runtime.l1_errors, windows) < 2 * windows.nbytes + 128 * 1024
 
     def test_l1_errors_rejects_bad_shapes(self, trained_small):
         runtime = trained_small["runtime"]

@@ -1,6 +1,7 @@
 """Network forward passes, autoregressive masking, flow invertibility,
 and checkpoint serialization."""
 
+import hashlib
 import json
 from dataclasses import asdict
 
@@ -434,6 +435,16 @@ def test_checkpoint_carries_calibration(tmp_path):
     ck = load_checkpoint(path)
     back = CalibrationStats.from_dict(ck.calibration)
     assert back.mu == 3.5 and back.sigma == 1.25 and back.n_windows == 10
+
+
+def test_checkpoint_digest_is_the_payload_sha256(tmp_path):
+    # The digest comes from CPython's built-in SHA-256 where there is one;
+    # it must equal hashlib's on every Python version.
+    path, *_ = _small_checkpoint(tmp_path)
+    raw = path.read_bytes()
+    hlen = int.from_bytes(raw[8:12], "little")
+    header = json.loads(raw[12 : 12 + hlen])
+    assert header["payload_sha256"] == hashlib.sha256(raw[12 + hlen :]).hexdigest()
 
 
 def test_checkpoint_corruption_detected(tmp_path):

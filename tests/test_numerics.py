@@ -2,13 +2,12 @@
 finite-difference oracles."""
 
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
 
 import flowad.autodiff as ad
-from conftest import lstm_states
+from conftest import lstm_states, traced_peak
 from flowad.errors import InputError, NonFiniteError
 from flowad.losses import loss_generator
 from flowad.model import (
@@ -353,20 +352,24 @@ def _out_of_place_lstm(x, w, b, hidden):
 
 @pytest.mark.parametrize("B", [1, 8, 32])
 def test_lstm_gradients_match_the_out_of_place_backward_bitwise(B):
-    # The default model's sizes: 12 signals, 150 steps, hidden 24.
+    # The default model's sizes: 12 signals, 150 steps, hidden 24. The
+    # fused backward builds its gate factors in place, over arrays the
+    # forward saved, so it peaks below two (T, B, H) float64 arrays; the
+    # slack covers the gradients and the step loop's (B, H) temporaries.
     cfg = ModelConfig(n_signals=12, window_len=150)
+    T, H = 150, cfg.hidden_size
     rng = np.random.default_rng(30 + B)
     params = {k: v for k, v in init_generator(cfg, rng).items() if k.startswith("lstm_")}
-    x = rng.standard_normal((B, 150, 12))
-    r = rng.standard_normal((B, cfg.hidden_size))
-    grads = {}
+    x = rng.standard_normal((B, T, 12))
+    r = rng.standard_normal((B, H))
+    grads, peaks = {}, {}
     for name, op in (("fused", ad.lstm), ("reference", _out_of_place_lstm)):
-        _, grads[name] = ad.value_and_grad(
-            lambda p: ad.sum_all(ad.mul(op(x, p["lstm_w"], p["lstm_b"], cfg.hidden_size), r)),
-            params,
-        )
-    for k in ("lstm_w", "lstm_b"):
-        assert grads["fused"][k].tobytes() == grads["reference"][k].tobytes(), k
+        w, b = ad.Tensor(params["lstm_w"]), ad.Tensor(params["lstm_b"])
+        peaks[name] = traced_peak(op(x, w, b, H)._backward, r)
+        grads[name] = w.grad, b.grad
+    for k, fused, reference in zip(("lstm_w", "lstm_b"), grads["fused"], grads["reference"]):
+        assert fused.tobytes() == reference.tobytes(), k
+    assert peaks["fused"] < 2 * T * B * H * 8 + 256 * 1024
 
 
 def test_value_and_grad_releases_the_tape_as_backward_runs():
@@ -386,14 +389,8 @@ def test_value_and_grad_releases_the_tape_as_backward_runs():
         return loss_generator(lp, wins, p, disc, cfg, 1e-4, 0.5)[0]
 
     ad.value_and_grad(loss, gen)
-    tracemalloc.start()
-    try:
-        ad.value_and_grad(loss, gen)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     saved = 8 * (T * B * 4 * H + 2 * (T + 1) * B * H + T * B * H + T * B * n)
-    assert peak <= 2 * saved
+    assert traced_peak(ad.value_and_grad, loss, gen) <= 2 * saved
 
 
 def test_lstm_step_keeps_float32():

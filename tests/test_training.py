@@ -2,12 +2,12 @@
 loss bookkeeping, the sparsity effect, and determinism."""
 
 import json
-import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from flowad import training
 from flowad.data import Record, WindowingConfig
 from flowad.errors import InputError
@@ -214,12 +214,8 @@ def test_train_holds_the_frames_once():
     raw = sum(r.frames.nbytes for r in records)
     model = ModelConfig(n_signals=12, window_len=150, hidden_size=4, latent_size=4,
                         flow_layers=1)
-    tracemalloc.start()
-    try:
-        train(records, model, TrainConfig(epochs=1), WindowingConfig(window_len=150, stride=50))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(train, records, model, TrainConfig(epochs=1),
+                       WindowingConfig(window_len=150, stride=50))
     assert peak < 2.5 * raw
 
 
