@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .config import build_config, check_types, config_section, load_config_file
+from .config import build_config, config_section, load_config_file
 from .data import (
     LABEL_NORMAL,
     WindowingConfig,
@@ -39,9 +39,9 @@ from .data import (
 from .detection import (
     CalibrationStats,
     DetectorConfig,
+    DetectSection,
     StreamDetector,
     calibrate,
-    threshold_for_fpr,
 )
 from .errors import FlowadError, InputError, StreamError
 from .fastpath import BACKEND, BLAS_THREAD_VARS, ScoringRuntime
@@ -84,26 +84,6 @@ def _checkpoint_windowing(cfg: dict, ckpt) -> WindowingConfig:
     return build_config(
         WindowingConfig, cfg, "windowing", window_len=ckpt.config.window_len, stride=stride
     )
-
-
-_DETECT_TYPES = {
-    "threshold": float | None,
-    "target_fpr": float | None,
-    "eps_mode": str,
-    "eps_seed": int,
-}
-
-
-def _detect_section(cfg: dict, args) -> dict:
-    out = {"threshold": None, "target_fpr": None, "eps_mode": "zero", "eps_seed": 0}
-    out.update(check_types("detect", config_section(cfg, "detect"), _DETECT_TYPES))
-    if out["eps_seed"] < 0:
-        raise InputError("bad detect config: eps_seed must be >= 0")
-    if getattr(args, "threshold", None) is not None:
-        out["threshold"] = args.threshold
-    if getattr(args, "target_fpr", None) is not None:
-        out["target_fpr"] = args.target_fpr
-    return out
 
 
 def _log_path(args) -> str:
@@ -216,34 +196,27 @@ def _require_signals(records, ckpt: Checkpoint):
 
 def cmd_calibrate(args) -> int:
     cfg = load_config_file(args.config)
-    detect_sec = _detect_section(cfg, args)
+    detect_sec = build_config(DetectSection, cfg, "detect")
     ckpt = load_checkpoint(args.checkpoint)
     records = load_records(args.data)
     _require_all_normal(records, "calibration data")
     windowing = _checkpoint_windowing(cfg, ckpt)
     _require_signals(records, ckpt)
-
-    def warn_short(r):
-        print(
-            f"warning: record '{r.sample_id}' is shorter than one window; skipped",
-            file=sys.stderr,
-        )
-
     if ckpt.calibration is not None:
         print("warning: checkpoint is already calibrated; overwriting", file=sys.stderr)
     runtime = ScoringRuntime.from_checkpoint(ckpt)
     stats = calibrate(
         runtime,
-        (w for _, ws in record_windows(records, windowing, warn_short) for w in ws),
-        eps_mode=detect_sec["eps_mode"],
-        eps_seed=detect_sec["eps_seed"],
+        (w for _, ws in record_windows(records, windowing) for w in ws),
+        eps_mode=detect_sec.eps_mode,
+        eps_seed=detect_sec.eps_seed,
     )
     meta = dict(ckpt.meta)
     meta["calibration_config"] = {
         "command": "calibrate",
         "data": str(args.data),
-        "eps_mode": detect_sec["eps_mode"],
-        "eps_seed": detect_sec["eps_seed"],
+        "eps_mode": detect_sec.eps_mode,
+        "eps_seed": detect_sec.eps_seed,
         "stride": windowing.stride,
     }
     out = args.out if args.out else args.checkpoint
@@ -267,7 +240,7 @@ def cmd_eval(args) -> int:
     from .evaluation import score_records, summarize
 
     cfg = load_config_file(args.config)
-    eps_seed = _detect_section(cfg, args)["eps_seed"]
+    eps_seed = build_config(DetectSection, cfg, "detect").eps_seed
     ckpt = load_checkpoint(args.checkpoint)
     calib = _loaded_calibration(ckpt)
     records = load_records(args.data)
@@ -306,24 +279,15 @@ def cmd_eval(args) -> int:
 
 def cmd_detect(args) -> int:
     cfg = load_config_file(args.config)
-    detect_sec = _detect_section(cfg, args)
+    detect_sec = build_config(DetectSection, cfg, "detect", threshold=args.threshold,
+                              target_fpr=args.target_fpr)
     ckpt = load_checkpoint(args.checkpoint)
     calib = _loaded_calibration(ckpt)
-    if detect_sec["threshold"] is not None and detect_sec["target_fpr"] is not None:
-        raise InputError("give either a threshold or a target_fpr, not both (flags and "
-                         "the config's detect section together set both)")
-    if detect_sec["threshold"] is not None:
-        theta = float(detect_sec["threshold"])
-    elif detect_sec["target_fpr"] is not None:
-        theta = threshold_for_fpr(calib, float(detect_sec["target_fpr"]))
-    else:
-        raise InputError("a decision threshold is required: --threshold or --target-fpr")
-    windowing = _checkpoint_windowing(cfg, ckpt)
     det_cfg = DetectorConfig(
-        theta=theta,
-        windowing=windowing,
-        eps_mode=detect_sec["eps_mode"],
-        eps_seed=detect_sec["eps_seed"],
+        theta=detect_sec.theta(calib),
+        windowing=_checkpoint_windowing(cfg, ckpt),
+        eps_mode=detect_sec.eps_mode,
+        eps_seed=detect_sec.eps_seed,
         stride_period_s=args.stride_period_s,
     )
     runtime = ScoringRuntime.from_checkpoint(ckpt)

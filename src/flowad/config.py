@@ -51,22 +51,18 @@ def _fits(value, hint) -> bool:
     return isinstance(value, (int, float) if hint is float else hint)
 
 
-def check_types(name: str, sec: dict, hints: dict) -> dict:
+def build_config(cls, cfg: dict, name: str, **flags):
+    """The dataclass `cls` built from config section `name`, with every
+    flag that was given (not None) replacing the file's value."""
+    sec = config_section(cfg, name)
+    sec.update((k, v) for k, v in flags.items() if v is not None)
+    hints = typing.get_type_hints(cls)
     for key, value in sec.items():
         if key not in hints:
             raise InputError(f"bad {name} config: unknown key '{key}'")
         if not _fits(value, hints[key]):
             expected = re.sub(r"<class '(\w+)'>", r"\1", str(hints[key]))
             raise InputError(f"bad {name} config: {key} must be {expected}, got {value!r}")
-    return sec
-
-
-def build_config(cls, cfg: dict, name: str, **flags):
-    """The dataclass `cls` built from config section `name`, with every
-    flag that was given (not None) replacing the file's value."""
-    sec = config_section(cfg, name)
-    sec.update((k, v) for k, v in flags.items() if v is not None)
-    check_types(name, sec, typing.get_type_hints(cls))
     for f in dataclasses.fields(cls):
         if f.name not in sec and f.default is f.default_factory is dataclasses.MISSING:
             raise InputError(f"bad {name} config: missing key '{f.name}'")

@@ -12,15 +12,18 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import logging
 import math
 import warnings
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DatasetError, InputError
+
+log = logging.getLogger(__name__)
 
 LABEL_NORMAL = "normal"
 LABEL_ANOMALOUS = "anomalous"
@@ -124,23 +127,23 @@ def sliding_windows(record: Record, cfg: WindowingConfig) -> list[Window]:
     return [Window(start=i * cfg.stride, values=w.copy()) for i, w in enumerate(view)]
 
 
-def record_windows(
-    records, cfg: WindowingConfig, on_short: Callable[[Record], None] | None = None
-) -> Iterator[tuple[Record, np.ndarray]]:
+def record_windows(records, cfg: WindowingConfig) -> Iterator[tuple[Record, np.ndarray]]:
     """Yield each record with its full windows, oldest first, as a
     read-only (W, T_W, N) view of its frames (no copy). A record shorter
-    than one window goes to on_short, when given, and is skipped."""
+    than one window is skipped with one warning that names it, its frame
+    count and the window length."""
     for r in records:
         if r.n_frames < cfg.window_len:
-            if on_short is not None:
-                on_short(r)
+            log.warning("record '%s' has %d frames, shorter than the window length %d; "
+                        "skipped", r.sample_id, r.n_frames, cfg.window_len)
             continue
         view = np.lib.stride_tricks.sliding_window_view(r.frames, cfg.window_len, axis=0)
         yield r, view[:: cfg.stride].transpose(0, 2, 1)
 
 
-def fit_normalization(records: list[Record], floor: float = 1e-8) -> NormStats:
-    """Per-signal mean and population std over all frames of all records."""
+def fit_normalization(records: list[Record]) -> NormStats:
+    """Per-signal mean and population std over all frames of all records,
+    the std floored at 1e-8."""
     if not records:
         raise InputError("cannot fit normalization on an empty dataset")
     n = records[0].n_signals
@@ -150,7 +153,7 @@ def fit_normalization(records: list[Record], floor: float = 1e-8) -> NormStats:
     stacked = np.concatenate([r.frames for r in records], axis=0)
     mean = stacked.mean(axis=0)
     std = stacked.std(axis=0)  # population std (ddof=0)
-    std = np.maximum(std, floor)
+    std = np.maximum(std, 1e-8)
     return NormStats(mean=mean, std=std)
 
 
@@ -298,7 +301,7 @@ def _open_csv(csv_path: Path):
     return open(csv_path, newline="", encoding="utf-8", errors="surrogateescape")
 
 
-def load_records(csv_path, sample_rate_hz: float | None = None) -> list[Record]:
+def load_records(csv_path) -> list[Record]:
     """Load a dataset CSV; the sibling manifest supplies the sample rate.
 
     Frames of one sample must be contiguous and their frame_idx must
@@ -309,18 +312,16 @@ def load_records(csv_path, sample_rate_hz: float | None = None) -> list[Record]:
     records bit for bit, or words the error.
     """
     csv_path = require_file(csv_path, "dataset file")
-    declared_rate, declared_n = 100.0, None
+    sample_rate_hz, declared_n = 100.0, None
     manifest = read_manifest(csv_path)
     if manifest is not None:
         try:
-            declared_rate = float(manifest["sample_rate_hz"])
+            sample_rate_hz = float(manifest["sample_rate_hz"])
             declared_n = int(manifest["n_signals"])
         except (KeyError, TypeError, ValueError) as e:
             raise DatasetError(
                 f"manifest {manifest_path(csv_path).name} is malformed: {e!r}"
             ) from None
-    if sample_rate_hz is None:
-        sample_rate_hz = declared_rate
     return _load_bulk(csv_path, sample_rate_hz, declared_n) or _load_rows(
         csv_path, sample_rate_hz, declared_n
     )

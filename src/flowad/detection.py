@@ -91,6 +91,37 @@ class Verdict:
     inference_us: float  # the wall time of its block's tail call, which it shares
 
 
+@dataclass(frozen=True)
+class DetectSection:
+    """The config file's detect section. `detect` takes its threshold from
+    `threshold` or `target_fpr` (flags override them); `calibrate` and
+    `detect` draw epsilon by `eps_mode`, and every scoring command seeds
+    it with `eps_seed`."""
+
+    threshold: float | None = None
+    target_fpr: float | None = None
+    eps_mode: str = "zero"
+    eps_seed: int = 0
+
+    def __post_init__(self):
+        if self.eps_seed < 0:
+            raise InputError("eps_seed must be >= 0")
+        if self.eps_mode not in ("zero", "sample"):
+            raise InputError(f"unknown eps_mode '{self.eps_mode}'")
+
+    def theta(self, calib: CalibrationStats) -> float:
+        """The decision threshold: `threshold` as given, or the quantile of
+        the calibration scores for `target_fpr`; exactly one must be set."""
+        if self.threshold is not None and self.target_fpr is not None:
+            raise InputError("give either a threshold or a target_fpr, not both (flags and "
+                             "the config's detect section together set both)")
+        if self.threshold is not None:
+            return float(self.threshold)
+        if self.target_fpr is None:
+            raise InputError("a decision threshold is required: --threshold or --target-fpr")
+        return threshold_for_fpr(calib, float(self.target_fpr))
+
+
 @dataclass
 class DetectorConfig:
     theta: float
@@ -141,7 +172,6 @@ def calibrate(
     windows,
     eps_mode: str = "zero",
     eps_seed: int = 0,
-    sigma_floor: float = SIGMA_FLOOR,
 ) -> CalibrationStats:
     """Population mean/std of L1 errors over raw normal windows.
 
@@ -159,7 +189,7 @@ def calibrate(
     if len(errors) < 2:
         raise InputError(f"calibration needs >= 2 windows, got {len(errors)}")
     mu = float(errors.mean())
-    sigma = max(float(errors.std()), sigma_floor)  # population std
+    sigma = max(float(errors.std()), SIGMA_FLOOR)  # population std
     scores = np.sort((errors - mu) / sigma)
     return CalibrationStats(
         mu=mu,

@@ -9,7 +9,6 @@ with the pairwise value to within floating-point error.
 
 from __future__ import annotations
 
-import logging
 import os
 import platform
 import time
@@ -32,8 +31,6 @@ from .model import ModelConfig
 
 if TYPE_CHECKING:
     from .training import TrainConfig, TrainResult
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -96,15 +93,7 @@ def score_records(
     """
     if calib is None:
         raise InputError("scoring requires calibration stats")
-
-    def warn(r: Record):
-        log.warning(
-            "record '%s' has %d frames, shorter than one window; skipped",
-            r.sample_id,
-            r.n_frames,
-        )
-
-    kept = list(record_windows(records, windowing, warn))
+    kept = list(record_windows(records, windowing))
     errors = score_windows(
         runtime, (w for _, ws in kept for w in ws), eps_mode, eps_seed
     )
@@ -167,18 +156,12 @@ def roc_curve(scores, labels) -> np.ndarray:
     y = labels[order]
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
-    points = [(0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and s[j + 1] == s[i]:
-            j += 1
-        tp += int(y[i : j + 1].sum())
-        fp += (j - i + 1) - int(y[i : j + 1].sum())
-        points.append((fp / n_neg, tp / n_pos))
-        i = j + 1
-    return np.array(points)
+    # A group of tied scores ends where the next score differs; NaN differs
+    # from everything, itself included, so each NaN is its own group.
+    ends = np.append(np.flatnonzero(s[1:] != s[:-1]), len(s) - 1)
+    tp = np.cumsum(y)[ends]
+    fp = ends + 1 - tp
+    return np.vstack([(0.0, 0.0), np.column_stack((fp / n_neg, tp / n_pos))])
 
 
 def trapezoid_auc(points: np.ndarray) -> float:
@@ -293,30 +276,19 @@ def summarize(scored: list[ScoredRecord], skipped: int) -> dict:
 
 def ablation_variants(base: ModelConfig) -> dict[str, ModelConfig]:
     """The three ablation configurations sharing N and T_W with base."""
-    n = base.n_signals
-    compressed = max(1, n // 2)
+    compressed = max(1, base.n_signals // 2)
     return {
         "full": base,
-        "no_sparsity": ModelConfig(
-            n_signals=n,
-            window_len=base.window_len,
+        "no_sparsity": replace(
+            base,
             hidden_size=compressed,
             latent_size=compressed,
-            flow_layers=base.flow_layers,
-            alpha_const=base.alpha_const,
+            made_hidden=None,
+            disc_widths=None,
             use_sparsity=False,
             use_flow=True,
         ),
-        "no_flow": ModelConfig(
-            n_signals=n,
-            window_len=base.window_len,
-            hidden_size=base.hidden_size,
-            latent_size=base.latent_size,
-            flow_layers=0,
-            alpha_const=base.alpha_const,
-            use_sparsity=base.use_sparsity,
-            use_flow=False,
-        ),
+        "no_flow": replace(base, flow_layers=0, use_flow=False),
     }
 
 

@@ -167,7 +167,8 @@ class ScoringRuntime:
         return cls(ckpt.config, ckpt.generator, ckpt.norm_stats, dtype=dtype)
 
     def normalize(self, window_raw: np.ndarray) -> np.ndarray:
-        x = (np.asarray(window_raw, dtype=np.float64) - self._mean) / self._std
+        x = np.subtract(window_raw, self._mean, dtype=np.float64)
+        x /= self._std  # in place: one float64 copy of the windows, not two
         return np.ascontiguousarray(x, dtype=self.dtype)
 
     def l1_errors(self, windows_raw: np.ndarray, eps=None) -> np.ndarray:

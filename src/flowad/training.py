@@ -15,7 +15,6 @@ frames, and only the batch in hand is copied out and normalized.
 
 from __future__ import annotations
 
-import logging
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -44,8 +43,6 @@ from .model import (
     init_generator,
 )
 from .optim import adamw_init, adamw_step
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -171,15 +168,7 @@ def train(
         raise InputError("windowing window_len must match the model's window_len")
 
     norm_stats = fit_normalization(records)
-
-    def warn_short(r: Record):
-        log.warning(
-            "record '%s' is shorter than one window (%d frames); skipped",
-            r.sample_id,
-            r.n_frames,
-        )
-
-    rec_windows = [view for _, view in record_windows(records, windowing, warn_short)]
+    rec_windows = [view for _, view in record_windows(records, windowing)]
     if not rec_windows:
         raise InputError("no record is long enough to fill a single window")
 

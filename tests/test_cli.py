@@ -182,7 +182,7 @@ class TestTrain:
                      "--out", str(out), "--ablation", "no-flow"]) == 0
         cfg = load_checkpoint(str(out)).config
         assert cfg.flow_layers == 0 and cfg.use_flow is False
-        assert cfg.latent_size == 6  # widths kept
+        assert cfg.latent_size == 6 and cfg.disc_widths == (8,)  # widths kept
 
     def test_ablation_no_sparsity(self, env, tmp_path):
         out = tmp_path / "ns.ckpt"
@@ -1192,6 +1192,42 @@ def test_a_negative_seed_exits_2_before_any_work(env, tmp_path, capsys, monkeypa
     assert main(argv) == 2
     assert re.fullmatch(r"error: \S.*seed must be >= 0.*\n", capsys.readouterr().err)
     assert set(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", ["calibrate", "eval", "detect"])
+def test_an_unknown_eps_mode_exits_2_before_any_work(env, tmp_path, capsys, monkeypatch,
+                                                     command):
+    import flowad.cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the command read its inputs")
+
+    argv = _command_args(env, tmp_path, command)
+    cfg = tmp_path / "samples.json"
+    cfg.write_text(json.dumps({**CONFIG, "detect": {"eps_mode": "samples"}}))
+    argv[argv.index("--config") + 1] = str(cfg)
+    monkeypatch.setattr(flowad.cli, "load_checkpoint", never)
+    monkeypatch.setattr(flowad.cli, "load_records", never)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: bad detect config: unknown eps_mode 'samples'\n"
+
+
+@pytest.mark.parametrize("command", ["train", "calibrate", "eval"])
+def test_a_short_record_gives_one_warning_naming_it(env, tmp_path, capsys, caplog, command):
+    src = env["test_csv"] if command == "eval" else env["train_csv"]
+    records = load_records(src)
+    records.append(dataclasses.replace(records[0], sample_id="short",
+                                       frames=records[0].frames[:20]))
+    data = tmp_path / "with-short.csv"
+    save_records(records, data)
+    argv = _command_args(env, tmp_path, command)
+    argv[argv.index("--data") + 1] = str(data)
+    assert main(argv) == 0
+    naming = [r for r in caplog.records if "'short'" in r.getMessage()]
+    assert [(r.name, r.levelname, r.getMessage()) for r in naming] == [(
+        "flowad.data", "WARNING",
+        "record 'short' has 20 frames, shorter than the window length 40; skipped")]
+    assert "short" not in capsys.readouterr().err
 
 
 # What each offline command must not load: the training stack, and the

@@ -18,6 +18,7 @@ from flowad.data import (
     load_records,
     manifest_path,
     read_manifest,
+    record_windows,
     save_records,
     sliding_windows,
     window_count,
@@ -72,6 +73,16 @@ def test_sliding_windows_exact_fit_and_error():
     assert len(sliding_windows(_rec(np.zeros((150, 1))), cfg)) == 1
     with pytest.raises(InputError, match="shorter than the window"):
         sliding_windows(_rec(np.zeros((149, 1))), cfg)
+
+
+def test_a_short_record_is_skipped_with_one_warning(caplog):
+    cfg = WindowingConfig(window_len=150, stride=50)
+    records = [_rec(np.zeros((149, 1)), "short"), _rec(np.zeros((200, 1)), "long")]
+    kept = [(r.sample_id, len(view)) for r, view in record_windows(records, cfg)]
+    assert kept == [("long", 2)]
+    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [(
+        "flowad.data", "WARNING",
+        "record 'short' has 149 frames, shorter than the window length 150; skipped")]
 
 
 def test_window_count_formula_matches_enumeration():

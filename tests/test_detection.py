@@ -18,6 +18,7 @@ from flowad.data import NormStats, WindowingConfig, sliding_windows, window_coun
 from flowad.detection import (
     CalibrationStats,
     DetectorConfig,
+    DetectSection,
     StreamDetector,
     calibrate,
     classify,
@@ -335,7 +336,7 @@ class TestScoringKernel:
                 assert runtime.l1_errors(windows[:B]).tobytes() == want.tobytes(), f"B={B}"
 
     def test_scoring_a_batch_keeps_no_per_step_history(self):
-        # Normalizing makes two float64 copies of the windows; beyond them a
+        # Normalizing makes a float64 and a float32 copy of the windows; beyond them a
         # call holds only O(B * 4H) states, which do not grow with T: no
         # (B, T, 4H) projection of every frame (1.8 MB here) and no
         # (T+1)-long h, c or tanh(c) history.
@@ -346,6 +347,19 @@ class TestScoringKernel:
         windows = rng.standard_normal((32, 150, 12))
         runtime.l1_errors(windows)
         assert traced_peak(runtime.l1_errors, windows) < 2 * windows.nbytes + 128 * 1024
+
+    def test_normalizing_a_batch_makes_one_float64_copy(self):
+        # Subtracting the mean and dividing by the std share one float64
+        # (B, T, N) array; the float32 result is the only other copy.
+        cfg = ModelConfig(n_signals=12, window_len=150)
+        rng = np.random.default_rng(5)
+        norm = NormStats(mean=rng.standard_normal(12), std=rng.uniform(0.5, 2.0, 12))
+        runtime = fastpath.ScoringRuntime(cfg, init_generator(cfg, rng), norm)
+        windows = rng.standard_normal((32, 150, 12))
+        x = runtime.normalize(windows)
+        assert x.dtype == np.float32 and x.flags.c_contiguous
+        assert x.tobytes() == ((windows - norm.mean) / norm.std).astype(np.float32).tobytes()
+        assert traced_peak(runtime.normalize, windows) < 1.5 * windows.nbytes + 16 * 1024
 
     def test_l1_errors_rejects_bad_shapes(self, trained_small):
         runtime = trained_small["runtime"]
@@ -404,6 +418,17 @@ class TestThresholdForFpr:
     def test_requires_retained_scores(self):
         with pytest.raises(InputError, match="retained"):
             threshold_for_fpr(CalibrationStats(mu=0.0, sigma=1.0), 0.05)
+
+
+class TestDetectSection:
+    CALIB = CalibrationStats(mu=0.0, sigma=1.0, scores_sorted=np.linspace(0.0, 1.0, 101))
+
+    def test_threshold_is_taken_as_given(self):
+        assert DetectSection(threshold=2).theta(self.CALIB) == 2.0
+
+    def test_target_fpr_takes_the_calibration_quantile(self):
+        assert DetectSection(target_fpr=0.05).theta(self.CALIB) == threshold_for_fpr(
+            self.CALIB, 0.05)
 
 
 def _one_frame_pushes(frames, runtime, calib, cfg):

@@ -104,6 +104,34 @@ class TestRocCurve:
             assert np.all(np.diff(pts[:, 0]) >= 0)
             assert np.all(np.diff(pts[:, 1]) >= 0)
 
+    def test_equals_a_group_by_group_walk_bit_for_bit(self):
+        # The reference walks the sorted scores, closing a group of ties at
+        # each score unequal to its first; a NaN equals nothing, so each NaN
+        # is its own group.
+        def walk(scores, labels):
+            order = np.argsort(-scores, kind="mergesort")
+            s, y = scores[order], labels[order]
+            n_pos = int(labels.sum())
+            points, tp, fp, i = [(0.0, 0.0)], 0, 0, 0
+            while i < len(s):
+                j = i
+                while j + 1 < len(s) and s[j + 1] == s[i]:
+                    j += 1
+                tp += int(y[i : j + 1].sum())
+                fp += (j - i + 1) - int(y[i : j + 1].sum())
+                points.append((fp / (len(s) - n_pos), tp / n_pos))
+                i = j + 1
+            return np.array(points)
+
+        rng = np.random.default_rng(30)
+        for _ in range(300):
+            n = int(rng.integers(2, 80))
+            scores = np.round(rng.standard_normal(n), 1)
+            scores[rng.random(n) < 0.1] = np.nan
+            labels = rng.integers(0, 2, size=n).astype(bool)
+            labels[:2] = [False, True]
+            assert roc_curve(scores, labels).tobytes() == walk(scores, labels).tobytes()
+
     def test_ties_grouped_into_single_step(self):
         pts = roc_curve([1.0, 1.0, 0.0], [1, 0, 0])
         np.testing.assert_allclose(pts, [(0, 0), (0.5, 1.0), (1, 1)])
