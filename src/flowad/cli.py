@@ -13,12 +13,9 @@ from __future__ import annotations
 import argparse
 import errno
 import json
-import math
 import os
 import sys
-import time
 import traceback
-from array import array
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -30,7 +27,6 @@ from .data import (
     LABEL_NORMAL,
     WindowingConfig,
     downsample,
-    frame_blocks,
     load_records,
     record_windows,
     save_records,
@@ -43,8 +39,8 @@ from .detection import (
     StreamDetector,
     calibrate,
 )
-from .errors import FlowadError, InputError, StreamError
-from .fastpath import BACKEND, BLAS_THREAD_VARS, ScoringRuntime
+from .errors import FlowadError, InputError
+from .fastpath import ScoringRuntime
 from .model import ModelConfig
 
 ABLATIONS = ("none", "no-sparsity", "no-flow")
@@ -90,9 +86,19 @@ def _log_path(args) -> str:
     return args.log if args.log else str(args.out) + ".log.jsonl"
 
 
+def _same_file(path: str, source: str | None) -> bool:
+    """Whether an input flag's value names the existing file `path`."""
+    try:
+        return source not in (None, "-") and os.path.samefile(path, source)
+    except OSError:  # either one is missing
+        return False
+
+
 def _check_outputs(args):
     """Exit 2, before a command loads anything, on an output path that
-    cannot become a file: a directory, or one whose directory is missing."""
+    cannot become a file: a directory, one whose directory is missing, or
+    a file the command reads, which writing would destroy. `calibrate`
+    may write its checkpoint in place."""
     for flag in ("out", "log", "roc_out", "metrics_out"):
         if flag == "log" and args.command == "train":
             path = _log_path(args)  # the default too: train writes it last
@@ -101,12 +107,17 @@ def _check_outputs(args):
         if path is None:
             continue
         if os.path.isdir(path):
-            code = errno.EISDIR
+            why = os.strerror(errno.EISDIR)
         elif not os.path.isdir(os.path.dirname(path) or "."):
-            code = errno.ENOENT
+            why = os.strerror(errno.ENOENT)
         else:
-            continue
-        raise InputError(f"cannot write --{flag.replace('_', '-')} {path}: {os.strerror(code)}")
+            read = [src for src in ("data", "input", "checkpoint", "config")
+                    if _same_file(path, getattr(args, src, None))
+                    and (args.command, flag, src) != ("calibrate", "out", "checkpoint")]
+            if not read:
+                continue
+            why = f"it is the --{read[0]} file, which the command reads"
+        raise InputError(f"cannot write --{flag.replace('_', '-')} {path}: {why}")
 
 
 def _write_json(path: str | Path, doc: dict):
@@ -278,6 +289,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    from .stream import run
+
     cfg = load_config_file(args.config)
     detect_sec = build_config(DetectSection, cfg, "detect", threshold=args.threshold,
                               target_fpr=args.target_fpr)
@@ -290,82 +303,9 @@ def cmd_detect(args) -> int:
         eps_seed=detect_sec.eps_seed,
         stride_period_s=args.stride_period_s,
     )
-    runtime = ScoringRuntime.from_checkpoint(ckpt)
-    detector = StreamDetector(runtime, calib, det_cfg)
-    try:
-        source = sys.stdin.buffer if args.input == "-" else open(args.input, "rb")
-    except OSError as e:
-        raise InputError(f"cannot open stream input {args.input}: {e.strerror}") from None
-    try:
-        metrics_fh = None if args.metrics_out is None else open(args.metrics_out, "w")
-    except OSError as e:
-        if args.input != "-":
-            source.close()
-        raise InputError(f"cannot write --metrics-out {args.metrics_out}: {e.strerror}") \
-            from None
-    # With --metrics-out, each frame's share of its push and each tail are kept.
-    push_us, tail_us = array("d"), array("d")
-    blocks = anomalies = rejected = 0
-    try:
-        for frames in frame_blocks(source, runtime.config.n_signals):
-            blocks += 1
-            t0 = time.perf_counter_ns()
-            verdicts = detector.push(frames)
-            if metrics_fh is not None:
-                share = (time.perf_counter_ns() - t0) / 1000.0 / len(frames)
-                push_us.extend([share] * len(frames))
-                tail_us.extend(v.inference_us for v in verdicts)
-                anomalies += sum(v.is_anomaly for v in verdicts)
-            if verdicts:
-                _write_verdicts(verdicts)
-    except (InputError, StreamError):
-        rejected = 1  # a frame that cannot be parsed or scored ends the stream
-        raise
-    finally:
-        if args.input != "-":
-            source.close()
-        if metrics_fh is not None:
-            with metrics_fh:
-                json.dump({
-                    "frames": detector.frames_seen,
-                    "blocks": blocks,
-                    "verdicts": len(tail_us),
-                    "anomalies": anomalies,
-                    "rejected_frames": rejected,
-                    "overruns": detector.overruns,
-                    "tail_us": _p50_p99(tail_us),
-                    "push_us": _p50_p99(push_us),
-                    "backend": BACKEND,
-                    "blas_threads": {v: os.environ.get(v) for v in BLAS_THREAD_VARS},
-                }, metrics_fh, indent=2, sort_keys=True)
-                metrics_fh.write("\n")
+    detector = StreamDetector(ScoringRuntime.from_checkpoint(ckpt), calib, det_cfg)
+    run(detector, args.input, args.metrics_out)
     return 0
-
-
-def _write_verdicts(verdicts):
-    """A block's verdict lines, each the bytes of `json.dumps` of its
-    fields, in one write and one flush. NaN and Infinity are not JSON: such
-    a score is written as null, and the verdict stays anomalous (`classify`)."""
-    lines = []
-    for v in verdicts:
-        if math.isfinite(v.score):
-            score = float.__repr__(v.score)
-        else:
-            score = "null"
-            print(f"warning: window_start {v.window_start} has a non-finite score; "
-                  "flagged anomalous", file=sys.stderr)
-        lines.append(f'{{"window_start": {v.window_start}, "score": {score}, "is_anomaly": '
-                     f'{"true" if v.is_anomaly else "false"}, "inference_us": '
-                     f'{float.__repr__(v.inference_us)}}}\n')
-    sys.stdout.write("".join(lines))
-    sys.stdout.flush()
-
-
-def _p50_p99(samples_us) -> dict:
-    if not samples_us:
-        return {"p50": None, "p99": None}
-    p50, p99 = np.percentile(samples_us, [50, 99])
-    return {"p50": float(p50), "p99": float(p99)}
 
 
 def cmd_bench(args) -> int:

@@ -33,6 +33,8 @@ SIGMA_FLOOR = 1e-8
 # Windows per kernel call when every window is known in advance
 # (calibration, evaluation); the stream scores one at a time.
 BLOCK_WINDOWS = 32
+# How epsilon is drawn at scoring: zero, or a seeded standard normal draw.
+EPS_MODES = ("zero", "sample")
 
 
 @dataclass
@@ -52,7 +54,7 @@ class CalibrationStats:
             raise InputError("mu and sigma must be finite")
         if self.sigma < SIGMA_FLOOR:
             raise InputError(f"sigma must be >= {SIGMA_FLOOR}")
-        if self.eps_mode not in ("zero", "sample"):
+        if self.eps_mode not in EPS_MODES:
             raise InputError(f"unknown eps_mode '{self.eps_mode}'")
 
     def to_dict(self) -> dict:
@@ -106,7 +108,7 @@ class DetectSection:
     def __post_init__(self):
         if self.eps_seed < 0:
             raise InputError("eps_seed must be >= 0")
-        if self.eps_mode not in ("zero", "sample"):
+        if self.eps_mode not in EPS_MODES:
             raise InputError(f"unknown eps_mode '{self.eps_mode}'")
 
     def theta(self, calib: CalibrationStats) -> float:
@@ -133,8 +135,6 @@ class DetectorConfig:
     def __post_init__(self):
         if not np.isfinite(self.theta):
             raise InputError("threshold must be finite")
-        if self.eps_mode not in ("zero", "sample"):
-            raise InputError(f"unknown eps_mode '{self.eps_mode}'")
         period = self.stride_period_s
         if period is not None and not (np.isfinite(period) and period > 0):
             raise InputError(f"stride period must be finite and > 0 s, got {period}")

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -20,14 +21,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowad.checkpoint import load_checkpoint, save_checkpoint
-from flowad.cli import _write_verdicts, main
+from flowad.cli import main
 from flowad.config import build_config
-from flowad.data import WindowingConfig, frame_blocks, load_records, manifest_path, save_records
+from flowad.data import WindowingConfig, load_records, manifest_path, save_records
 from flowad.detection import CalibrationStats, DetectorConfig, StreamDetector, Verdict
 from flowad.errors import InputError
 from flowad.evaluation import per_type_auroc, roc_curve, score_records
 from flowad.fastpath import ScoringRuntime
 from flowad.model import ModelConfig
+from flowad.stream import _write_verdicts, frame_blocks
 from flowad.synth import SynthConfig
 from flowad.training import TrainConfig
 
@@ -1162,6 +1164,48 @@ def test_an_output_path_that_cannot_be_a_file_exits_2_before_any_work(
     assert set(tmp_path.rglob("*")) == before
 
 
+# An output that is a file the command also reads, here through a second
+# name (a hard link): writing it would destroy the input.
+_OUTPUT_IS_INPUT = [("detect", "--metrics-out", "--input"), ("eval", "--out", "--data"),
+                    ("eval", "--roc-out", "--checkpoint"), ("calibrate", "--out", "--data"),
+                    ("train", "--log", "--config")]
+
+
+@pytest.mark.parametrize("command, out_flag, in_flag", _OUTPUT_IS_INPUT)
+def test_an_output_path_that_is_an_input_file_exits_2_before_any_work(
+        env, tmp_path, capsys, monkeypatch, command, out_flag, in_flag):
+    import flowad.cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the command read its inputs")
+
+    monkeypatch.setattr(flowad.cli, "load_checkpoint", never)
+    monkeypatch.setattr(flowad.cli, "load_records", never)
+    argv = _command_args(env, tmp_path, command)
+    source, alias = tmp_path / "input", tmp_path / "alias"
+    shutil.copyfile(argv[argv.index(in_flag) + 1], source)
+    os.link(source, alias)
+    argv[argv.index(in_flag) + 1] = str(source)
+    if out_flag in argv:
+        argv[argv.index(out_flag) + 1] = str(alias)
+    else:
+        argv += [out_flag, str(alias)]
+    before = source.read_bytes()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (f"error: cannot write {out_flag} {alias}: it is the "
+                                       f"{in_flag} file, which the command reads\n")
+    assert source.read_bytes() == before
+
+
+def test_calibrate_may_write_its_checkpoint_in_place(env, tmp_path):
+    argv = _command_args(env, tmp_path, "calibrate")
+    ckpt = tmp_path / "in-place.ckpt"
+    shutil.copyfile(env["ckpt_uncal"], ckpt)
+    argv[argv.index("--checkpoint") + 1] = argv[argv.index("--out") + 1] = str(ckpt)
+    assert main(argv) == 0
+    assert load_checkpoint(ckpt).calibration is not None
+
+
 # Each way a negative seed reaches a command: a flag, or a config value.
 _NEGATIVE_SEEDS = {
     "train --seed": ("train", ["--seed", "-1"], None),
@@ -1230,18 +1274,20 @@ def test_a_short_record_gives_one_warning_naming_it(env, tmp_path, capsys, caplo
     assert "short" not in capsys.readouterr().err
 
 
-# What each offline command must not load: the training stack, and the
-# evaluation module where the command does not evaluate. The scoring
-# commands (zero eps) also never load `_hashlib`, which maps OpenSSL's
-# libcrypto: the checkpoint digest is CPython's built-in SHA-256. `train`
-# is exempt, since numpy.random imports `secrets`, which imports `hmac`.
+# What each offline command must not load: the training stack, the
+# evaluation module where the command does not evaluate, and the stream
+# module everywhere but `detect`. The scoring commands (zero eps) also
+# never load `_hashlib`, which maps OpenSSL's libcrypto: the checkpoint
+# digest is CPython's built-in SHA-256. `train` is exempt, since
+# numpy.random imports `secrets`, which imports `hmac`.
 _NEVER_LOADED = {
     "detect": {"flowad.training", "flowad.losses", "flowad.optim", "flowad.evaluation",
                "flowad.synth", "_hashlib"},
     "calibrate": {"flowad.training", "flowad.losses", "flowad.optim", "flowad.evaluation",
-                  "flowad.synth", "_hashlib"},
-    "eval": {"flowad.training", "flowad.losses", "flowad.optim", "flowad.synth", "_hashlib"},
-    "train": {"flowad.evaluation", "flowad.synth"},
+                  "flowad.synth", "flowad.stream", "_hashlib"},
+    "eval": {"flowad.training", "flowad.losses", "flowad.optim", "flowad.synth",
+             "flowad.stream", "_hashlib"},
+    "train": {"flowad.evaluation", "flowad.synth", "flowad.stream"},
 }
 
 
