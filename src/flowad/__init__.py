@@ -16,9 +16,8 @@ import importlib
 _NAMES = {
     "data": ("NormStats", "Record", "Window", "WindowingConfig", "sliding_windows",
              "window_count"),
-    "detection": ("CalibrationStats", "DetectorConfig", "StreamDetector", "Verdict",
-                  "calibrate"),
-    "errors": ("DatasetError", "FlowadError", "InputError", "NonFiniteError", "StreamError"),
+    "detection": ("CalibrationStats", "StreamDetector", "Verdict", "calibrate"),
+    "errors": ("DatasetError", "FlowadError", "InputError", "NonFiniteError"),
     "evaluation": ("auroc", "evaluate", "iqr_mean", "roc_curve", "trapezoid_auc"),
     "fastpath": ("ScoringRuntime",),
     "model": ("ModelConfig", "init_discriminator", "init_generator"),
@@ -38,35 +37,4 @@ def __getattr__(name: str):
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CalibrationStats",
-    "DatasetError",
-    "DetectorConfig",
-    "FlowadError",
-    "InputError",
-    "ModelConfig",
-    "NonFiniteError",
-    "NormStats",
-    "Record",
-    "ScoringRuntime",
-    "StreamDetector",
-    "StreamError",
-    "SynthConfig",
-    "TrainConfig",
-    "TrainResult",
-    "Verdict",
-    "Window",
-    "WindowingConfig",
-    "auroc",
-    "calibrate",
-    "evaluate",
-    "init_discriminator",
-    "init_generator",
-    "iqr_mean",
-    "roc_curve",
-    "sliding_windows",
-    "synth_generate",
-    "train",
-    "trapezoid_auc",
-    "window_count",
-]
+__all__ = sorted(_MODULE_OF)

@@ -32,13 +32,7 @@ from .data import (
     save_records,
     sliding_windows,  # noqa: F401 - perfbench/launcher.py traces it here
 )
-from .detection import (
-    CalibrationStats,
-    DetectorConfig,
-    DetectSection,
-    StreamDetector,
-    calibrate,
-)
+from .detection import CalibrationStats, DetectSection, StreamDetector, calibrate
 from .errors import FlowadError, InputError
 from .fastpath import ScoringRuntime
 from .model import ModelConfig
@@ -96,9 +90,11 @@ def _same_file(path: str, source: str | None) -> bool:
 
 def _check_outputs(args):
     """Exit 2, before a command loads anything, on an output path that
-    cannot become a file: a directory, one whose directory is missing, or
-    a file the command reads, which writing would destroy. `calibrate`
-    may write its checkpoint in place."""
+    cannot become a file: a directory, one whose directory is missing, a
+    file the command reads, which writing would destroy, or the path of
+    another output, which would overwrite it. `calibrate` may write its
+    checkpoint in place."""
+    written = {}  # resolved output path -> its flag; neither file need exist yet
     for flag in ("out", "log", "roc_out", "metrics_out"):
         if flag == "log" and args.command == "train":
             path = _log_path(args)  # the default too: train writes it last
@@ -106,18 +102,21 @@ def _check_outputs(args):
             path = getattr(args, flag, None)
         if path is None:
             continue
+        real, opt = os.path.realpath(path), f"--{flag.replace('_', '-')}"
         if os.path.isdir(path):
             why = os.strerror(errno.EISDIR)
         elif not os.path.isdir(os.path.dirname(path) or "."):
             why = os.strerror(errno.ENOENT)
-        else:
-            read = [src for src in ("data", "input", "checkpoint", "config")
-                    if _same_file(path, getattr(args, src, None))
-                    and (args.command, flag, src) != ("calibrate", "out", "checkpoint")]
-            if not read:
-                continue
+        elif read := [src for src in ("data", "input", "checkpoint", "config")
+                      if _same_file(path, getattr(args, src, None))
+                      and (args.command, flag, src) != ("calibrate", "out", "checkpoint")]:
             why = f"it is the --{read[0]} file, which the command reads"
-        raise InputError(f"cannot write --{flag.replace('_', '-')} {path}: {why}")
+        elif real in written:
+            why = f"{written[real]} writes it too"
+        else:
+            written[real] = opt
+            continue
+        raise InputError(f"cannot write {opt} {path}: {why}")
 
 
 def _write_json(path: str | Path, doc: dict):
@@ -131,10 +130,8 @@ def cmd_gen_data(args) -> int:
     from .synth import SynthConfig, synth_generate
 
     cfg = load_config_file(args.config)
-    synth_cfg = build_config(
-        SynthConfig, cfg, "synth", seed=args.seed, num_normal=args.num_normal,
-        num_anomalous=args.num_anomalous,
-    )
+    synth_cfg = build_config(SynthConfig, cfg, "synth", flags={
+        "seed": args.seed, "num_normal": args.num_normal, "num_anomalous": args.num_anomalous})
     records = synth_generate(synth_cfg)
     resolved = {"command": "gen-data", "synth": asdict(synth_cfg)}
     save_records(records, args.out, manifest_extra={"resolved_config": resolved})
@@ -149,7 +146,7 @@ def cmd_train(args) -> int:
         raise InputError(f"--freq-downsample must be >= 1, got {args.freq_downsample}")
     cfg = load_config_file(args.config)
     windowing = build_config(WindowingConfig, cfg, "windowing")
-    train_cfg = build_config(TrainConfig, cfg, "train", seed=args.seed)
+    train_cfg = build_config(TrainConfig, cfg, "train", flags={"seed": args.seed})
     records = load_records(args.data)
     if args.freq_downsample > 1:
         records = [downsample(r, args.freq_downsample) for r in records]
@@ -259,10 +256,7 @@ def cmd_eval(args) -> int:
     _require_signals(records, ckpt)
     runtime = ScoringRuntime.from_checkpoint(ckpt)
     # One scoring pass serves both the report and the ROC points.
-    scored, skipped = score_records(
-        records, runtime, calib, windowing, eps_mode=calib.eps_mode,
-        eps_seed=eps_seed,
-    )
+    scored, skipped = score_records(records, runtime, calib, windowing, eps_seed)
     report = summarize(scored, skipped)
     report["resolved_config"] = {
         "command": "eval",
@@ -292,18 +286,18 @@ def cmd_detect(args) -> int:
     from .stream import run
 
     cfg = load_config_file(args.config)
-    detect_sec = build_config(DetectSection, cfg, "detect", threshold=args.threshold,
-                              target_fpr=args.target_fpr)
+    detect_sec = build_config(DetectSection, cfg, "detect", flags={
+        "threshold": args.threshold, "target_fpr": args.target_fpr})
     ckpt = load_checkpoint(args.checkpoint)
     calib = _loaded_calibration(ckpt)
-    det_cfg = DetectorConfig(
-        theta=detect_sec.theta(calib),
-        windowing=_checkpoint_windowing(cfg, ckpt),
-        eps_mode=detect_sec.eps_mode,
-        eps_seed=detect_sec.eps_seed,
-        stride_period_s=args.stride_period_s,
-    )
-    detector = StreamDetector(ScoringRuntime.from_checkpoint(ckpt), calib, det_cfg)
+    theta = detect_sec.theta(calib)
+    if detect_sec.eps_mode != calib.eps_mode:
+        raise InputError(f"config eps_mode '{detect_sec.eps_mode}' does not match the "
+                         f"checkpoint's calibration, made in eps_mode '{calib.eps_mode}'")
+    windowing = _checkpoint_windowing(cfg, ckpt)
+    detector = StreamDetector(ScoringRuntime.from_checkpoint(ckpt), calib, theta=theta,
+                              windowing=windowing, eps_seed=detect_sec.eps_seed,
+                              stride_period_s=args.stride_period_s)
     run(detector, args.input, args.metrics_out)
     return 0
 

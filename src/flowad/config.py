@@ -51,22 +51,33 @@ def _fits(value, hint) -> bool:
     return isinstance(value, (int, float) if hint is float else hint)
 
 
-def build_config(cls, cfg: dict, name: str, **flags):
-    """The dataclass `cls` built from config section `name`, with every
-    flag that was given (not None) replacing the file's value."""
-    sec = config_section(cfg, name)
-    sec.update((k, v) for k, v in flags.items() if v is not None)
+def build_config(cls, cfg: dict, name: str, flags: dict | None = None, **values):
+    """The dataclass `cls` built from config section `name`, with `values`
+    and then every flag in `flags` that was given (not None) replacing the
+    file's value. A bad value is named by its flag if a flag gave it, else
+    as a key of the section."""
+    given = {k: v for k, v in (flags or {}).items() if v is not None}
+    sec = {k: v for k, v in config_section(cfg, name).items() if k not in given}
+    sec.update(values)
+
+    def where(key) -> str:
+        return f"--{key.replace('_', '-')}" if key in given else f"{name} config"
+
     hints = typing.get_type_hints(cls)
-    for key, value in sec.items():
+    for key, value in [*sec.items(), *given.items()]:
         if key not in hints:
-            raise InputError(f"bad {name} config: unknown key '{key}'")
+            raise InputError(f"bad {where(key)}: unknown key '{key}'")
         if not _fits(value, hints[key]):
             expected = re.sub(r"<class '(\w+)'>", r"\1", str(hints[key]))
-            raise InputError(f"bad {name} config: {key} must be {expected}, got {value!r}")
+            raise InputError(f"bad {where(key)}: {key} must be {expected}, got {value!r}")
     for f in dataclasses.fields(cls):
         if f.name not in sec and f.default is f.default_factory is dataclasses.MISSING:
             raise InputError(f"bad {name} config: missing key '{f.name}'")
-    try:
-        return cls(**sec)
-    except InputError as e:  # a value cls rejects
-        raise InputError(f"bad {name} config: {e}") from None
+    key = None
+    try:  # the file's values first, then one flag at a time, so a rejection has one source
+        built = cls(**sec)
+        for key, value in given.items():
+            built = dataclasses.replace(built, **{key: value})
+    except InputError as e:
+        raise InputError(f"bad {where(key)}: {e}") from None
+    return built

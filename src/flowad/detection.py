@@ -12,19 +12,23 @@ evaluation score blocks of windows; the stream detector runs the LSTM of
 every window a block of frames touches as the block arrives, in waves of
 one step over all of them, so each verdict waits only for the kernel's
 tail.
+
+`calibrate` is the one place an eps mode is chosen: the statistics record
+it, and every later scoring draws epsilon by the mode of the calibration
+it is given. `detect` refuses a config whose eps_mode names another.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 
 from .data import WindowingConfig
-from .errors import InputError, StreamError
+from .errors import InputError
 from .fastpath import ScoringRuntime, WindowsInFlight
 
 log = logging.getLogger(__name__)
@@ -39,9 +43,10 @@ EPS_MODES = ("zero", "sample")
 
 @dataclass
 class CalibrationStats:
-    """Normal-error statistics; eps_mode records how epsilon was drawn
-    so detection can refuse a mismatched mode. scores_sorted retains
-    the calibration anomaly scores for quantile-based thresholding."""
+    """Normal-error statistics; eps_mode records how epsilon was drawn,
+    and scoring against these statistics draws it the same way.
+    scores_sorted retains the calibration anomaly scores for
+    quantile-based thresholding."""
 
     mu: float
     sigma: float
@@ -96,9 +101,10 @@ class Verdict:
 @dataclass(frozen=True)
 class DetectSection:
     """The config file's detect section. `detect` takes its threshold from
-    `threshold` or `target_fpr` (flags override them); `calibrate` and
-    `detect` draw epsilon by `eps_mode`, and every scoring command seeds
-    it with `eps_seed`."""
+    `threshold` or `target_fpr` (flags override them). `calibrate` draws
+    epsilon by `eps_mode` and records it in the calibration, by whose mode
+    `eval` and `detect` draw it; `detect` refuses an `eps_mode` that names
+    another. Every scoring command seeds it with `eps_seed`."""
 
     threshold: float | None = None
     target_fpr: float | None = None
@@ -122,22 +128,6 @@ class DetectSection:
         if self.target_fpr is None:
             raise InputError("a decision threshold is required: --threshold or --target-fpr")
         return threshold_for_fpr(calib, float(self.target_fpr))
-
-
-@dataclass
-class DetectorConfig:
-    theta: float
-    windowing: WindowingConfig = field(default_factory=WindowingConfig)
-    eps_mode: str = "zero"
-    eps_seed: int = 0
-    stride_period_s: float | None = None  # budget per stride; set to get overrun warnings
-
-    def __post_init__(self):
-        if not np.isfinite(self.theta):
-            raise InputError("threshold must be finite")
-        period = self.stride_period_s
-        if period is not None and not (np.isfinite(period) and period > 0):
-            raise InputError(f"stride period must be finite and > 0 s, got {period}")
 
 
 def _eps_stream(runtime: ScoringRuntime, eps_mode: str, eps_seed: int):
@@ -232,25 +222,32 @@ class StreamDetector:
     windows a block completes share one tail call. Streamed scores equal
     `ScoringRuntime.l1_error` on the same frames bit for bit, with the
     same eps draw, however the frames are split into blocks.
+
+    Epsilon is drawn by the calibration's eps_mode, seeded with eps_seed; a
+    score above theta is anomalous. A stride whose work takes longer than
+    stride_period_s, if given, counts as an overrun and logs a warning.
     """
 
-    def __init__(self, runtime: ScoringRuntime, calib: CalibrationStats, cfg: DetectorConfig):
+    def __init__(self, runtime: ScoringRuntime, calib: CalibrationStats, *, theta: float,
+                 windowing: WindowingConfig, eps_seed: int = 0,
+                 stride_period_s: float | None = None):
         if calib is None:
             raise InputError("detector requires calibration stats")
-        if cfg.eps_mode != calib.eps_mode:
-            raise InputError(
-                f"detector eps_mode '{cfg.eps_mode}' does not match calibration "
-                f"'{calib.eps_mode}'"
-            )
-        if cfg.windowing.window_len != runtime.config.window_len:
+        if not np.isfinite(theta):
+            raise InputError("threshold must be finite")
+        if stride_period_s is not None and not (
+                np.isfinite(stride_period_s) and stride_period_s > 0):
+            raise InputError(f"stride period must be finite and > 0 s, got {stride_period_s}")
+        if windowing.window_len != runtime.config.window_len:
             raise InputError("windowing window_len must match the model")
         self.runtime = runtime
         self.calib = calib
-        self.cfg = cfg
-        self._T = (cfg.windowing.window_len, cfg.windowing.stride)
+        self.theta = theta
+        self.stride_period_s = stride_period_s
+        self._T = (windowing.window_len, windowing.stride)
         self._rows = WindowsInFlight(runtime, *self._T)
         self._stride_ns = 0.0  # work of the frames since the last stride boundary
-        self._draw = _eps_stream(runtime, cfg.eps_mode, cfg.eps_seed)
+        self._draw = _eps_stream(runtime, calib.eps_mode, eps_seed)
         self.overruns = 0
         # pay first-call costs here, not on the first verdict
         runtime.warm_up()
@@ -272,10 +269,10 @@ class StreamDetector:
         n, rows = self.runtime.config.n_signals, self._rows
         c0 = rows.count
         if frames.ndim != 2 or frames.shape[1] != n:
-            raise StreamError(f"frame {c0} has shape {frames.shape[1:]}, expected ({n},)")
+            raise InputError(f"frame {c0} has shape {frames.shape[1:]}, expected ({n},)")
         if not np.isfinite(frames).all():
             bad = int(np.isfinite(frames).all(axis=1).argmin())
-            raise StreamError(f"frame {c0 + bad} has a non-finite value: {frames[bad]}")
+            raise InputError(f"frame {c0 + bad} has a non-finite value: {frames[bad]}")
         with np.errstate(over="ignore", invalid="ignore"):
             h, windows = rows.advance(frames)
             t1 = time.perf_counter_ns()
@@ -293,13 +290,13 @@ class StreamDetector:
             # Real time allows one stride period for one stride's frames and
             # the verdict they complete.
             work_s = (stride_ns + tail_ns / len(l1)) * 1e-9
-            period = self.cfg.stride_period_s
+            period = self.stride_period_s
             if period is not None and work_s > period:
                 self.overruns += 1
                 log.warning("stride work took %.3f ms, exceeding the %.3f ms stride period",
                             work_s * 1000.0, period * 1000.0)
             score = score_from_l1(l1[len(verdicts)], self.calib)
-            verdicts.append(Verdict(stop - T_W, score, classify(score, self.cfg.theta),
+            verdicts.append(Verdict(stop - T_W, score, classify(score, self.theta),
                                     tail_ns / 1000.0))
         self._stride_ns += (end - prev) * share
         return verdicts

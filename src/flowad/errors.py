@@ -17,10 +17,6 @@ class DatasetError(InputError):
     """Malformed dataset file; message carries the offending row."""
 
 
-class StreamError(FlowadError):
-    """Unrecoverable condition in the streaming detector."""
-
-
 class NonFiniteError(FlowadError, ArithmeticError):
     """A differentiable op produced a non-finite value."""
 

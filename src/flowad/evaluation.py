@@ -30,7 +30,7 @@ from .fastpath import BACKEND, BLAS_THREAD_VARS, ScoringRuntime
 from .model import ModelConfig
 
 if TYPE_CHECKING:
-    from .training import TrainConfig, TrainResult
+    from .training import TrainConfig
 
 
 @dataclass
@@ -40,13 +40,6 @@ class ScoredRecord:
     anomaly_type: str
     window_scores: np.ndarray
     record_score: float
-
-
-@dataclass
-class TypeAurocReport:
-    per_type: dict[str, float]
-    mean: float
-    std: float
 
 
 @dataclass
@@ -82,10 +75,10 @@ def score_records(
     runtime: ScoringRuntime,
     calib: CalibrationStats,
     windowing: WindowingConfig,
-    eps_mode: str = "zero",
     eps_seed: int = 0,
 ) -> tuple[list[ScoredRecord], int]:
     """Score every record; record_score is the max over its windows.
+    Epsilon is drawn by the calibration's eps_mode.
 
     Records too short for one window are skipped with a warning and
     counted in the returned skip total. Windows are scored in blocks
@@ -95,7 +88,7 @@ def score_records(
         raise InputError("scoring requires calibration stats")
     kept = list(record_windows(records, windowing))
     errors = score_windows(
-        runtime, (w for _, ws in kept for w in ws), eps_mode, eps_seed
+        runtime, (w for _, ws in kept for w in ws), calib.eps_mode, eps_seed
     )
     per_record = np.split(errors, np.cumsum([len(ws) for _, ws in kept])[:-1])
     scored: list[ScoredRecord] = []
@@ -170,9 +163,10 @@ def trapezoid_auc(points: np.ndarray) -> float:
     return float(np.sum((x[1:] - x[:-1]) * (y[1:] + y[:-1]) * 0.5))
 
 
-def per_type_auroc(scored: list[ScoredRecord]) -> TypeAurocReport:
-    """Per-type AUROC over (that type's records + all normals);
-    overall = unweighted mean across types, std across types."""
+def per_type_auroc(scored: list[ScoredRecord]) -> dict:
+    """Per-type AUROC over (that type's records + all normals), and
+    overall_mean/overall_std, the unweighted mean and population std
+    across types."""
     normals = [r.record_score for r in scored if r.label == LABEL_NORMAL]
     if not normals:
         raise InputError("per-type AUROC needs normal records")
@@ -189,9 +183,8 @@ def per_type_auroc(scored: list[ScoredRecord]) -> TypeAurocReport:
         y = np.array([0] * len(normals) + [1] * len(pos), dtype=bool)
         per_type[atype] = auroc(s, y)
     vals = np.array(list(per_type.values()))
-    return TypeAurocReport(
-        per_type=per_type, mean=float(vals.mean()), std=float(vals.std())
-    )
+    return {"per_type": per_type, "overall_mean": float(vals.mean()),
+            "overall_std": float(vals.std())}
 
 
 def iqr_mean(values: np.ndarray) -> tuple[float, float, float]:
@@ -253,25 +246,15 @@ def evaluate(
     runtime: ScoringRuntime,
     calib: CalibrationStats,
     windowing: WindowingConfig,
-    eps_mode: str = "zero",
     eps_seed: int = 0,
 ) -> dict:
     """Full evaluation report as a JSON-ready dict."""
-    return summarize(
-        *score_records(test_records, runtime, calib, windowing, eps_mode, eps_seed)
-    )
+    return summarize(*score_records(test_records, runtime, calib, windowing, eps_seed))
 
 
 def summarize(scored: list[ScoredRecord], skipped: int) -> dict:
     """The evaluation report of already scored records."""
-    report = per_type_auroc(scored)
-    return {
-        "per_type": report.per_type,
-        "overall_mean": report.mean,
-        "overall_std": report.std,
-        "n_records": len(scored),
-        "n_skipped": skipped,
-    }
+    return {**per_type_auroc(scored), "n_records": len(scored), "n_skipped": skipped}
 
 
 def ablation_variants(base: ModelConfig) -> dict[str, ModelConfig]:
@@ -292,25 +275,6 @@ def ablation_variants(base: ModelConfig) -> dict[str, ModelConfig]:
     }
 
 
-def train_and_evaluate(
-    train_records: list[Record],
-    test_records: list[Record],
-    model_cfg: ModelConfig,
-    train_cfg: TrainConfig,
-    windowing: WindowingConfig,
-) -> tuple[dict, TrainResult]:
-    """Train, calibrate on the training windows, evaluate on test."""
-    from .training import train
-
-    result = train(train_records, model_cfg, train_cfg, windowing)
-    runtime = ScoringRuntime(model_cfg, result.generator, result.norm_stats)
-    calib = calibrate(
-        runtime, (w for _, ws in record_windows(train_records, windowing) for w in ws)
-    )
-    report = evaluate(test_records, runtime, calib, windowing)
-    return report, result
-
-
 def ablation_train_config(name: str, train_cfg: TrainConfig) -> TrainConfig:
     """The train config of ablation variant `name`: no_sparsity also
     switches the L1 penalty off (lam=0)."""
@@ -325,14 +289,17 @@ def run_ablation(
     windowing: WindowingConfig,
 ) -> dict:
     """Train and evaluate {full, no-sparsity, no-flow} on identical
-    data and seed; returns a JSON-ready comparison report."""
+    data and seed, each calibrated on the windows it trained on; returns
+    a JSON-ready comparison report."""
+    from .training import train
+
     out: dict = {"seed": train_cfg.seed, "variants": {}}
     for name, cfg in ablation_variants(model_cfg).items():
-        tcfg = ablation_train_config(name, train_cfg)
         t0 = time.perf_counter()
-        report, _ = train_and_evaluate(
-            train_records, test_records, cfg, tcfg, windowing
-        )
+        result = train(train_records, cfg, ablation_train_config(name, train_cfg), windowing)
+        runtime = ScoringRuntime(cfg, result.generator, result.norm_stats)
+        calib = calibrate(runtime, (w for view in result.windows for w in view))
+        report = evaluate(test_records, runtime, calib, windowing)
         report["train_eval_s"] = time.perf_counter() - t0
         out["variants"][name] = report
     return out

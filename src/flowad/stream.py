@@ -27,7 +27,7 @@ from array import array
 
 import numpy as np
 
-from .errors import InputError, StreamError
+from .errors import InputError
 from .fastpath import BACKEND, BLAS_THREAD_VARS
 
 # A read of at least this many frame lines is parsed in bulk; np.loadtxt's
@@ -139,7 +139,7 @@ def run(detector, input_path: str, metrics_path: str | None):
                     anomalies += sum(v.is_anomaly for v in verdicts)
                 if verdicts:
                     _write_verdicts(verdicts)
-        except (InputError, StreamError):
+        except InputError:
             rejected = 1  # a frame that cannot be parsed or scored ends the stream
             raise
         finally:

@@ -138,6 +138,7 @@ class TrainResult:
     generator: dict[str, np.ndarray]
     discriminator: dict[str, np.ndarray]
     norm_stats: NormStats
+    windows: list[np.ndarray]  # per trained-on record, its raw (W, T_W, N) windows, a view
     log: list[dict] = field(default_factory=list)
 
 
@@ -151,8 +152,8 @@ def train(
     train_cfg: TrainConfig,
     windowing: WindowingConfig,
 ) -> TrainResult:
-    """Run the full optimization; returns parameters, stats, and the
-    per-epoch log (one dict per epoch, JSON-ready)."""
+    """Run the full optimization; returns parameters, stats, the
+    per-epoch log (one dict per epoch, JSON-ready) and the windows."""
     for r in records:
         if r.label != LABEL_NORMAL:
             raise InputError(
@@ -262,5 +263,6 @@ def train(
         generator=gen,
         discriminator=disc,
         norm_stats=norm_stats,
+        windows=rec_windows,
         log=epoch_log,
     )

@@ -18,7 +18,6 @@ from flowad.cli import main as cli_main
 from flowad.data import NormStats, WindowingConfig, sliding_windows, window_count
 from flowad.detection import (
     CalibrationStats,
-    DetectorConfig,
     StreamDetector,
     calibrate,
     score_from_l1,
@@ -170,7 +169,6 @@ class TestCriterion4StreamingBatchEquivalence:
         runtime = trained_small["runtime"]
         calib = trained_small["calib"]
         windowing = trained_small["windowing"]
-        cfg = DetectorConfig(theta=3.0, windowing=windowing)
         checked = 0
         all_equal = True
         for record in trained_small["test_records"]:
@@ -178,7 +176,7 @@ class TestCriterion4StreamingBatchEquivalence:
                 score_from_l1(runtime.l1_error(w.values), calib)
                 for w in sliding_windows(record, windowing)
             ]
-            det = StreamDetector(runtime, calib, cfg)
+            det = StreamDetector(runtime, calib, theta=3.0, windowing=windowing)
             streamed = [v.score for frame in record.frames for v in det.push(frame[None])]
             expected_n = (record.n_frames - windowing.window_len) // windowing.stride + 1
             all_equal &= streamed == batch and len(streamed) == expected_n

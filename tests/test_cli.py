@@ -8,7 +8,6 @@ import itertools
 import json
 import math
 import os
-import re
 import shutil
 import subprocess
 import sys
@@ -24,7 +23,7 @@ from flowad.checkpoint import load_checkpoint, save_checkpoint
 from flowad.cli import main
 from flowad.config import build_config
 from flowad.data import WindowingConfig, load_records, manifest_path, save_records
-from flowad.detection import CalibrationStats, DetectorConfig, StreamDetector, Verdict
+from flowad.detection import CalibrationStats, StreamDetector, Verdict
 from flowad.errors import InputError
 from flowad.evaluation import per_type_auroc, roc_curve, score_records
 from flowad.fastpath import ScoringRuntime
@@ -319,9 +318,10 @@ class TestEval:
         scored, _ = score_records(
             load_records(env["test_csv"]), ScoringRuntime.from_checkpoint(loaded),
             CalibrationStats.from_dict(loaded.calibration),
-            WindowingConfig(**CONFIG["windowing"]), "sample", 7,
+            WindowingConfig(**CONFIG["windowing"]), 7,
         )
-        assert json.loads(report_path.read_text())["per_type"] == per_type_auroc(scored).per_type
+        report = json.loads(report_path.read_text())
+        assert report["per_type"] == per_type_auroc(scored)["per_type"]
         points = roc_curve([r.record_score for r in scored], [r.label != "normal" for r in scored])
         want = "fpr,tpr\n" + "".join(f"{float(f)!r},{float(t)!r}\n" for f, t in points)
         assert roc_path.read_text() == want
@@ -743,9 +743,10 @@ def test_file_and_stdin_give_the_verdicts_of_frame_at_a_time_scoring(env, tmp_pa
     assert _verdicts(from_file.stdout.decode()) == _verdicts(from_stdin.stdout.decode())
     loaded = load_checkpoint(ckpt)
     calib = CalibrationStats.from_dict(loaded.calibration)
-    det_cfg = DetectorConfig(theta=3.0, windowing=WindowingConfig(40, 20), eps_mode=eps_mode,
-                             eps_seed=3 if eps_mode == "sample" else 0)
-    det = StreamDetector(ScoringRuntime.from_checkpoint(loaded), calib, det_cfg)
+    assert calib.eps_mode == eps_mode
+    det = StreamDetector(ScoringRuntime.from_checkpoint(loaded), calib, theta=3.0,
+                         windowing=WindowingConfig(40, 20),
+                         eps_seed=3 if eps_mode == "sample" else 0)
     one_at_a_time = [v for frame in rows for v in det.push(frame[None])]
     assert _verdicts(from_file.stdout.decode()) == [
         {"window_start": v.window_start, "score": v.score, "is_anomaly": v.is_anomaly}
@@ -1197,6 +1198,37 @@ def test_an_output_path_that_is_an_input_file_exits_2_before_any_work(
     assert source.read_bytes() == before
 
 
+# Two outputs of one command that name one path, spelled alike or through
+# `..`: the later write would destroy the earlier. Neither file exists yet,
+# so the paths are compared resolved.
+@pytest.mark.parametrize("command, first, second", [("train", "--out", "--log"),
+                                                    ("eval", "--out", "--roc-out")])
+@pytest.mark.parametrize("spelling", ["same", "dotdot"])
+def test_two_outputs_that_name_one_path_exit_2_before_any_work(
+        env, tmp_path, capsys, monkeypatch, command, first, second, spelling):
+    import flowad.cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the command read its inputs")
+
+    monkeypatch.setattr(flowad.cli, "load_checkpoint", never)
+    monkeypatch.setattr(flowad.cli, "load_records", never)
+    (tmp_path / "sub").mkdir()
+    path = tmp_path / "out"
+    alias = path if spelling == "same" else tmp_path / "sub" / ".." / "out"
+    argv = _command_args(env, tmp_path, command)
+    argv[argv.index(first) + 1] = str(path)
+    if second in argv:
+        argv[argv.index(second) + 1] = str(alias)
+    else:
+        argv += [second, str(alias)]
+    before = set(tmp_path.rglob("*"))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (f"error: cannot write {second} {alias}: {first} "
+                                       "writes it too\n")
+    assert set(tmp_path.rglob("*")) == before
+
+
 def test_calibrate_may_write_its_checkpoint_in_place(env, tmp_path):
     argv = _command_args(env, tmp_path, "calibrate")
     ckpt = tmp_path / "in-place.ckpt"
@@ -1206,13 +1238,15 @@ def test_calibrate_may_write_its_checkpoint_in_place(env, tmp_path):
     assert load_checkpoint(ckpt).calibration is not None
 
 
-# Each way a negative seed reaches a command: a flag, or a config value.
+# Each way a negative seed reaches a command, and the error it gives: a
+# flag is named by the flag, a config value by its section.
 _NEGATIVE_SEEDS = {
-    "train --seed": ("train", ["--seed", "-1"], None),
-    "train config": ("train", [], {"train": {"seed": -2}}),
-    "gen-data --seed": ("gen-data", ["--seed", "-1"], None),
-    "bench --seed": ("bench", ["--seed", "-1"], None),
-    **{f"{command} config": (command, [], {"detect": {"eps_seed": -3, "eps_mode": "sample"}})
+    "train --seed": ("train", ["--seed", "-1"], None, "bad --seed: seed must be >= 0"),
+    "train config": ("train", [], {"train": {"seed": -2}}, "bad train config: seed must be >= 0"),
+    "gen-data --seed": ("gen-data", ["--seed", "-1"], None, "bad --seed: seed must be >= 0"),
+    "bench --seed": ("bench", ["--seed", "-1"], None, "--seed must be >= 0, got -1"),
+    **{f"{command} config": (command, [], {"detect": {"eps_seed": -3, "eps_mode": "sample"}},
+                             "bad detect config: eps_seed must be >= 0")
        for command in ("calibrate", "eval", "detect")},
 }
 
@@ -1224,7 +1258,7 @@ def test_a_negative_seed_exits_2_before_any_work(env, tmp_path, capsys, monkeypa
     def never(*args, **kwargs):
         raise AssertionError("the command read its inputs")
 
-    command, flags, section = _NEGATIVE_SEEDS[case]
+    command, flags, section, message = _NEGATIVE_SEEDS[case]
     argv = _command_args(env, tmp_path, command) + flags
     if section is not None:
         cfg = tmp_path / "negative.json"
@@ -1234,8 +1268,77 @@ def test_a_negative_seed_exits_2_before_any_work(env, tmp_path, capsys, monkeypa
     monkeypatch.setattr(flowad.cli, "load_records", never)
     before = set(tmp_path.rglob("*"))
     assert main(argv) == 2
-    assert re.fullmatch(r"error: \S.*seed must be >= 0.*\n", capsys.readouterr().err)
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert set(tmp_path.rglob("*")) == before
+
+
+# A bad value is named by where it came from: by its flag, or by the
+# config section that holds it (negative seeds: above).
+_BAD_VALUES = {
+    "detect --threshold nan": ("detect", ["--threshold", "nan"], None,
+                               "bad --threshold: threshold must be float | None, got nan"),
+    "detect --target-fpr inf": ("detect", ["--target-fpr", "inf"], None,
+                                "bad --target-fpr: target_fpr must be float | None, got inf"),
+    "detect config": ("detect", [], {"detect": {"target_fpr": math.nan}},
+                      "bad detect config: target_fpr must be float | None, got nan"),
+    "gen-data --num-normal -1": ("gen-data", ["--num-normal", "-1"], None,
+                                 "bad --num-normal: record counts must be non-negative"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_VALUES))
+def test_a_bad_value_is_named_by_its_flag_or_its_config_section(
+        env, tmp_path, capsys, monkeypatch, case):
+    import flowad.cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the command read its inputs")
+
+    command, flags, section, message = _BAD_VALUES[case]
+    argv = _command_args(env, tmp_path, command) + flags
+    if section is not None:
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({**CONFIG, **section}))
+        argv[argv.index("--config") + 1] = str(cfg)
+    monkeypatch.setattr(flowad.cli, "load_checkpoint", never)
+    monkeypatch.setattr(flowad.cli, "load_records", never)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_flag_replaces_the_config_value_before_it_is_checked():
+    cfg = {"train": {"seed": -2, "epochs": 3}}
+    assert build_config(TrainConfig, cfg, "train", flags={"seed": 4}) == TrainConfig(
+        seed=4, epochs=3)
+    with pytest.raises(InputError, match="^bad train config: seed must be >= 0$"):
+        build_config(TrainConfig, cfg, "train", flags={"seed": None})
+
+
+@pytest.mark.parametrize("config_mode, calibrated_mode", [("sample", "zero"), ("zero", "sample")])
+def test_a_config_eps_mode_other_than_the_calibrations_exits_2_before_any_frame(
+        env, tmp_path, capsys, monkeypatch, config_mode, calibrated_mode):
+    import flowad.stream
+
+    def never(*args, **kwargs):
+        raise AssertionError("detect read its input")
+
+    argv = _command_args(env, tmp_path, "detect")
+    if calibrated_mode == "sample":
+        sample_cfg = tmp_path / "calibrate.json"
+        sample_cfg.write_text(json.dumps({**CONFIG, "detect": {"eps_mode": "sample"}}))
+        ckpt = str(tmp_path / "sample.ckpt")
+        assert main(["calibrate", "--config", str(sample_cfg), "--checkpoint", env["ckpt"],
+                     "--data", str(env["train_csv"]), "--out", ckpt]) == 0
+        argv[argv.index("--checkpoint") + 1] = ckpt
+    cfg = tmp_path / "detect.json"
+    cfg.write_text(json.dumps({**CONFIG, "detect": {"eps_mode": config_mode}}))
+    argv[argv.index("--config") + 1] = str(cfg)
+    monkeypatch.setattr(flowad.stream, "run", never)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: config eps_mode '{config_mode}' does not match the checkpoint's "
+        f"calibration, made in eps_mode '{calibrated_mode}'\n")
 
 
 @pytest.mark.parametrize("command", ["calibrate", "eval", "detect"])

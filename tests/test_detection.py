@@ -17,7 +17,6 @@ from flowad import fastpath
 from flowad.data import NormStats, WindowingConfig, sliding_windows, window_count
 from flowad.detection import (
     CalibrationStats,
-    DetectorConfig,
     DetectSection,
     StreamDetector,
     calibrate,
@@ -25,7 +24,7 @@ from flowad.detection import (
     score_from_l1,
     threshold_for_fpr,
 )
-from flowad.errors import InputError, StreamError
+from flowad.errors import InputError
 from flowad.model import ModelConfig, build_flow_masks, generator_forward, init_generator
 
 
@@ -431,16 +430,16 @@ class TestDetectSection:
             self.CALIB, 0.05)
 
 
-def _one_frame_pushes(frames, runtime, calib, cfg):
+def _one_frame_pushes(frames, runtime, calib, **settings):
     """The verdicts of a new StreamDetector fed one frame per push."""
-    det = StreamDetector(runtime, calib, cfg)
+    det = StreamDetector(runtime, calib, **settings)
     return [v for frame in frames for v in det.push(frame[None])]
 
 
 class TestStreamDetector:
     def _detector(self, trained_small, theta=3.0, **kw):
-        cfg = DetectorConfig(theta=theta, windowing=trained_small["windowing"], **kw)
-        return StreamDetector(trained_small["runtime"], trained_small["calib"], cfg)
+        return StreamDetector(trained_small["runtime"], trained_small["calib"], theta=theta,
+                              windowing=trained_small["windowing"], **kw)
 
     def test_verdict_cadence_and_window_starts(self, trained_small):
         # 220 frames, T_W=100, T_S=40: verdicts as the 100th, 140th,
@@ -464,22 +463,22 @@ class TestStreamDetector:
         runtime = trained_small["runtime"]
         calib = trained_small["calib"]
         windowing = trained_small["windowing"]
-        cfg = DetectorConfig(theta=3.0, windowing=windowing)
         for record in trained_small["test_records"][:4]:
             batch = [
                 score_from_l1(runtime.l1_error(w.values), calib)
                 for w in sliding_windows(record, windowing)
             ]
-            streamed = [v.score for v in _one_frame_pushes(record.frames, runtime, calib, cfg)]
+            streamed = [v.score for v in _one_frame_pushes(record.frames, runtime, calib,
+                                                           theta=3.0, windowing=windowing)]
             assert streamed == batch  # bitwise, not approx
 
     def test_verdict_flag_follows_threshold(self, trained_small):
         record = trained_small["test_records"][1]
-        cfg = DetectorConfig(theta=0.0, windowing=trained_small["windowing"])
         scores = [
             v.score
             for v in _one_frame_pushes(
-                record.frames, trained_small["runtime"], trained_small["calib"], cfg
+                record.frames, trained_small["runtime"], trained_small["calib"], theta=0.0,
+                windowing=trained_small["windowing"],
             )
         ]
         theta = float(np.median(scores))
@@ -495,10 +494,11 @@ class TestStreamDetector:
         spiked = clean.frames.copy()
         stds = clean.frames.std(axis=0)
         spiked[120:140, 2] += 8.0 * stds[2]
-        cfg = DetectorConfig(theta=3.0, windowing=trained_small["windowing"])
         runtime, calib = trained_small["runtime"], trained_small["calib"]
-        max_clean = max(v.score for v in _one_frame_pushes(clean.frames, runtime, calib, cfg))
-        max_spiked = max(v.score for v in _one_frame_pushes(spiked, runtime, calib, cfg))
+        settings = {"theta": 3.0, "windowing": trained_small["windowing"]}
+        max_clean = max(v.score for v in _one_frame_pushes(clean.frames, runtime, calib,
+                                                            **settings))
+        max_spiked = max(v.score for v in _one_frame_pushes(spiked, runtime, calib, **settings))
         assert max_spiked > max_clean
 
     def test_overflowing_frames_give_anomalous_nan_verdicts(self, trained_small):
@@ -516,39 +516,36 @@ class TestStreamDetector:
     @pytest.mark.parametrize("period", [0.0, -1.0, math.nan, math.inf])
     def test_stride_period_must_be_finite_and_positive(self, trained_small, period):
         with pytest.raises(InputError, match="stride period must be finite and > 0"):
-            DetectorConfig(theta=1.0, windowing=trained_small["windowing"],
-                           stride_period_s=period)
+            self._detector(trained_small, stride_period_s=period)
 
-    def test_eps_mode_mismatch_rejected(self, trained_small):
-        cfg = DetectorConfig(
-            theta=1.0, windowing=trained_small["windowing"], eps_mode="sample"
-        )
-        with pytest.raises(InputError, match="eps_mode"):
-            StreamDetector(trained_small["runtime"], trained_small["calib"], cfg)
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_threshold_must_be_finite(self, trained_small, theta):
+        with pytest.raises(InputError, match="threshold must be finite"):
+            self._detector(trained_small, theta=theta)
 
     def test_missing_calibration_rejected(self, trained_small):
-        cfg = DetectorConfig(theta=1.0, windowing=trained_small["windowing"])
         with pytest.raises(InputError, match="calibration"):
-            StreamDetector(trained_small["runtime"], None, cfg)
+            StreamDetector(trained_small["runtime"], None, theta=1.0,
+                           windowing=trained_small["windowing"])
 
     def test_window_len_model_mismatch_rejected(self, trained_small):
-        cfg = DetectorConfig(theta=1.0, windowing=WindowingConfig(80, 40))
         with pytest.raises(InputError, match="window_len"):
-            StreamDetector(trained_small["runtime"], trained_small["calib"], cfg)
+            StreamDetector(trained_small["runtime"], trained_small["calib"], theta=1.0,
+                           windowing=WindowingConfig(80, 40))
 
-    def test_bad_frame_shape_is_stream_error(self, trained_small):
+    def test_bad_frame_shape_is_input_error(self, trained_small):
         det = self._detector(trained_small)
         det.push(np.zeros((1, 6)))
-        with pytest.raises(StreamError, match="frame 1"):
+        with pytest.raises(InputError, match="frame 1"):
             det.push(np.zeros((1, 5)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_frame_is_stream_error(self, trained_small, bad):
+    def test_non_finite_frame_is_input_error(self, trained_small, bad):
         det = self._detector(trained_small)
         det.push(np.zeros((1, 6)))
         frame = np.zeros(6)
         frame[3] = bad
-        with pytest.raises(StreamError, match="frame 1 has a non-finite value"):
+        with pytest.raises(InputError, match="frame 1 has a non-finite value"):
             det.push(frame[None])
         assert det.frames_seen == 1
 
@@ -562,10 +559,8 @@ class TestStreamDetector:
         frames = trained_small["test_records"][0].frames
 
         def run(seed):
-            cfg = DetectorConfig(
-                theta=3.0, windowing=windowing, eps_mode="sample", eps_seed=seed
-            )
-            return [v.score for v in _one_frame_pushes(frames, runtime, calib, cfg)]
+            return [v.score for v in _one_frame_pushes(frames, runtime, calib, theta=3.0,
+                                                       windowing=windowing, eps_seed=seed)]
 
         assert run(7) == run(7)
         assert run(7) != run(8)
@@ -663,11 +658,10 @@ def test_streamed_verdicts_equal_l1_error_on_the_same_slice(
     runtime = fastpath.ScoringRuntime(cfg, init_generator(cfg, rng), norm, dtype=dtype)
     calib = CalibrationStats(mu=rng.standard_normal(), sigma=rng.uniform(0.5, 2.0),
                              eps_mode=eps_mode)
-    det_cfg = DetectorConfig(theta=0.0, windowing=WindowingConfig(window_len, stride),
-                             eps_mode=eps_mode, eps_seed=seed)
+    settings = {"theta": 0.0, "windowing": WindowingConfig(window_len, stride), "eps_seed": seed}
     frames = rng.standard_normal((window_len + extra_strides * stride + stride - 1, 3)) * 3.0
     eps_rng = np.random.default_rng(seed)
-    verdicts = _one_frame_pushes(frames, runtime, calib, det_cfg)
+    verdicts = _one_frame_pushes(frames, runtime, calib, **settings)
     assert len(verdicts) == extra_strides + 1
     for j, v in enumerate(verdicts):
         assert v.window_start == j * stride
@@ -696,8 +690,7 @@ def test_any_partition_into_blocks_gives_the_verdicts_of_one_frame_pushes(
     runtime = fastpath.ScoringRuntime(cfg, init_generator(cfg, rng), norm, dtype=dtype)
     calib = CalibrationStats(mu=rng.standard_normal(), sigma=rng.uniform(0.5, 2.0),
                              eps_mode=eps_mode)
-    det_cfg = DetectorConfig(theta=0.0, windowing=WindowingConfig(window_len, stride),
-                             eps_mode=eps_mode, eps_seed=seed)
+    settings = {"theta": 0.0, "windowing": WindowingConfig(window_len, stride), "eps_seed": seed}
     frames = rng.standard_normal((window_len + extra_strides * stride + stride - 1, 3)) * 3.0
     # Block edges anywhere, or exactly where windows end; repeated edges
     # give empty blocks, adjacent ones blocks of one frame, and few edges
@@ -706,9 +699,9 @@ def test_any_partition_into_blocks_gives_the_verdicts_of_one_frame_pushes(
     edges = sorted(data.draw(st.lists(st.one_of(st.integers(0, len(frames)),
                                                 st.sampled_from(window_ends)), max_size=12)))
     bounds = [0, *edges, len(frames)]
-    det = StreamDetector(runtime, calib, det_cfg)
+    det = StreamDetector(runtime, calib, **settings)
     blocked = [v for a, b in zip(bounds, bounds[1:]) for v in det.push(frames[a:b])]
-    single = StreamDetector(runtime, calib, det_cfg)
+    single = StreamDetector(runtime, calib, **settings)
     one_by_one = [v for frame in frames for v in single.push(frame[None])]
     assert det.frames_seen == len(frames)
     assert len(blocked) == len(one_by_one) == extra_strides + 1

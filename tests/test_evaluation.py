@@ -1,11 +1,14 @@
 """Evaluation tests: AUROC (rank and trapezoid forms), ROC geometry,
 per-type averaging, record scoring, IQR-mean latency, ablation configs."""
 
+import dataclasses
+import logging
+
 import numpy as np
 import pytest
 
-from flowad.data import Record, WindowingConfig, sliding_windows, window_count
-from flowad.detection import score_from_l1
+from flowad.data import Record, WindowingConfig, record_windows, sliding_windows, window_count
+from flowad.detection import calibrate, score_from_l1
 from flowad.errors import InputError
 from flowad.evaluation import (
     LatencyReport,
@@ -17,10 +20,14 @@ from flowad.evaluation import (
     iqr_mean,
     per_type_auroc,
     roc_curve,
+    run_ablation,
     score_records,
     trapezoid_auc,
 )
+from flowad.fastpath import ScoringRuntime
 from flowad.model import ModelConfig
+from flowad.synth import SynthConfig, synth_generate
+from flowad.training import TrainConfig, train
 
 
 def _pairwise_auroc(scores, labels):
@@ -200,10 +207,11 @@ class TestPerTypeAuroc:
         report = per_type_auroc(scored)
         # Each type is ranked against the normal pool alone; if type A
         # leaked into B's negatives, B would come out 0.4375 not 0.75.
-        assert report.per_type["A"] == pytest.approx(1.0)
-        assert report.per_type["B"] == pytest.approx(0.75)
-        assert report.mean == pytest.approx(0.875)  # unweighted mean
-        assert report.std == pytest.approx(0.125)  # population std
+        assert set(report) == {"per_type", "overall_mean", "overall_std"}
+        assert report["per_type"]["A"] == pytest.approx(1.0)
+        assert report["per_type"]["B"] == pytest.approx(0.75)
+        assert report["overall_mean"] == pytest.approx(0.875)  # unweighted mean
+        assert report["overall_std"] == pytest.approx(0.125)  # population std
 
     def test_requires_normals(self):
         scored = [self._scored("a", "anomalous", "A", 1.0)]
@@ -258,9 +266,11 @@ class TestScoreRecords:
         tr = trained_small["test_records"]
         long = Record(sample_id="long", frames=np.concatenate([tr[0].frames, tr[1].frames]))
         records = [long] + tr[2:14]
-        runtime, calib = trained_small["runtime"], trained_small["calib"]
+        runtime = trained_small["runtime"]
+        # score_records draws eps by the calibration's mode
+        calib = dataclasses.replace(trained_small["calib"], eps_mode=eps_mode)
         windowing = trained_small["windowing"]
-        scored, skipped = score_records(records, runtime, calib, windowing, eps_mode, 4)
+        scored, skipped = score_records(records, runtime, calib, windowing, 4)
         assert skipped == 0 and len(scored) == len(records)
         rng = np.random.default_rng(4)
         d = runtime.config.latent_size
@@ -368,3 +378,30 @@ class TestAblationVariants:
     def test_compressed_width_floor(self):
         variants = ablation_variants(ModelConfig(n_signals=1, window_len=20))
         assert variants["no_sparsity"].latent_size == 1
+
+
+class TestRunAblation:
+    def test_each_variant_windows_a_short_training_record_once(self, caplog):
+        windowing = WindowingConfig(20, 10)
+        model_cfg = ModelConfig(n_signals=3, window_len=20, hidden_size=4, latent_size=4,
+                                flow_layers=1, made_hidden=4, disc_widths=(4,))
+        records = synth_generate(SynthConfig(num_normal=4, num_anomalous=0, n_frames=40,
+                                             n_signals=3, seed=1))
+        records.append(dataclasses.replace(records[0], sample_id="short",
+                                           frames=records[0].frames[:10]))
+        test = synth_generate(SynthConfig(num_normal=3, num_anomalous=3, n_frames=40,
+                                          n_signals=3, seed=2))
+        train_cfg = TrainConfig(epochs=1, seed=0)
+        with caplog.at_level(logging.WARNING, logger="flowad.data"):
+            report = run_ablation(records, test, model_cfg, train_cfg, windowing)
+        naming = [r.getMessage() for r in caplog.records if "'short'" in r.getMessage()]
+        assert naming == ["record 'short' has 10 frames, shorter than the window length 20; "
+                          "skipped"] * 3  # one per variant
+        # Each variant is calibrated on its training windows.
+        result = train(records, model_cfg, train_cfg, windowing)
+        runtime = ScoringRuntime(model_cfg, result.generator, result.norm_stats)
+        calib = calibrate(runtime, (w for _, ws in record_windows(records, windowing)
+                                    for w in ws))
+        full = dict(report["variants"]["full"])
+        del full["train_eval_s"]
+        assert full == evaluate(test, runtime, calib, windowing)
