@@ -28,6 +28,7 @@ from .data import (
     WindowingConfig,
     downsample,
     load_records,
+    manifest_path,
     record_windows,
     save_records,
     sliding_windows,  # noqa: F401 - perfbench/launcher.py traces it here
@@ -53,15 +54,15 @@ def __getattr__(name: str):
     return value
 
 
-def _model_config(cfg: dict, n_signals: int, window_len: int) -> ModelConfig:
-    sec = config_section(cfg, "model")
-    for key, value in (("n_signals", n_signals), ("window_len", window_len)):
+def _build_fixed(cls, cfg: dict, name: str, source: str, **values):
+    """`build_config` with `values` fixed by `source`: the config section
+    may repeat one of them but not contradict it."""
+    sec = config_section(cfg, name)
+    for key, value in values.items():
         if sec.get(key) is not None and sec[key] != value:
             raise InputError(
-                f"config model.{key}={sec[key]!r} conflicts with the data/windowing "
-                f"value {value}"
-            )
-    return build_config(ModelConfig, cfg, "model", n_signals=n_signals, window_len=window_len)
+                f"config {name}.{key}={sec[key]!r} conflicts with the {source} value {value}")
+    return build_config(cls, cfg, name, **values)
 
 
 def _checkpoint_windowing(cfg: dict, ckpt) -> WindowingConfig:
@@ -71,9 +72,8 @@ def _checkpoint_windowing(cfg: dict, ckpt) -> WindowingConfig:
     stored = ckpt.meta.get("resolved_config", {}).get("windowing", {})
     strides = (config_section(cfg, "windowing").get("stride"), stored.get("stride"))
     stride = next((s for s in strides if s is not None), ckpt.config.window_len)
-    return build_config(
-        WindowingConfig, cfg, "windowing", window_len=ckpt.config.window_len, stride=stride
-    )
+    return _build_fixed(WindowingConfig, cfg, "windowing", "checkpoint",
+                        window_len=ckpt.config.window_len, stride=stride)
 
 
 def _log_path(args) -> str:
@@ -92,25 +92,31 @@ def _check_outputs(args):
     """Exit 2, before a command loads anything, on an output path that
     cannot become a file: a directory, one whose directory is missing, a
     file the command reads, which writing would destroy, or the path of
-    another output, which would overwrite it. `calibrate` may write its
-    checkpoint in place."""
+    another output, which would overwrite it. A dataset's manifest counts
+    with its CSV: read with `--data`, written by `gen-data`. `calibrate`
+    may write its checkpoint in place."""
+    reads = {f"--{src} file": getattr(args, src, None)
+             for src in ("data", "input", "checkpoint", "config")}
+    if getattr(args, "data", None):
+        reads["--data file's manifest"] = manifest_path(args.data)
+    outputs = {f"--{flag.replace('_', '-')}": getattr(args, flag, None)
+               for flag in ("out", "log", "roc_out", "metrics_out")}
+    if args.command == "train":
+        outputs["--log"] = _log_path(args)  # the default too: train writes it last
+    elif args.command == "gen-data":
+        outputs["the --out manifest"] = manifest_path(args.out)
     written = {}  # resolved output path -> its flag; neither file need exist yet
-    for flag in ("out", "log", "roc_out", "metrics_out"):
-        if flag == "log" and args.command == "train":
-            path = _log_path(args)  # the default too: train writes it last
-        else:
-            path = getattr(args, flag, None)
+    for opt, path in outputs.items():
         if path is None:
             continue
-        real, opt = os.path.realpath(path), f"--{flag.replace('_', '-')}"
+        real = os.path.realpath(path)
         if os.path.isdir(path):
             why = os.strerror(errno.EISDIR)
         elif not os.path.isdir(os.path.dirname(path) or "."):
             why = os.strerror(errno.ENOENT)
-        elif read := [src for src in ("data", "input", "checkpoint", "config")
-                      if _same_file(path, getattr(args, src, None))
-                      and (args.command, flag, src) != ("calibrate", "out", "checkpoint")]:
-            why = f"it is the --{read[0]} file, which the command reads"
+        elif read := [src for src, source in reads.items() if _same_file(path, source) and
+                      (args.command, opt, src) != ("calibrate", "--out", "--checkpoint file")]:
+            why = f"it is the {read[0]}, which the command reads"
         elif real in written:
             why = f"{written[real]} writes it too"
         else:
@@ -150,8 +156,8 @@ def cmd_train(args) -> int:
     records = load_records(args.data)
     if args.freq_downsample > 1:
         records = [downsample(r, args.freq_downsample) for r in records]
-    n_signals = records[0].n_signals
-    model_cfg = _model_config(cfg, n_signals, windowing.window_len)
+    model_cfg = _build_fixed(ModelConfig, cfg, "model", "data/windowing",
+                             n_signals=records[0].n_signals, window_len=windowing.window_len)
     if args.ablation != "none":
         from .evaluation import ablation_train_config, ablation_variants
 
@@ -172,25 +178,13 @@ def cmd_train(args) -> int:
     }
     save_checkpoint(args.out, Checkpoint(model_cfg, result.generator, result.discriminator,
                                          result.norm_stats, meta={"resolved_config": resolved}))
-    log_path = _log_path(args)
-    with open(log_path, "w") as fh:
-        for entry in result.log:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
-    last = result.log[-1]
+    Path(_log_path(args)).write_text(
+        "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in result.log))
     print(
         f"trained {train_cfg.epochs} epochs; final mean_L_mse="
-        f"{last['mean_L_mse']:.4f}; checkpoint -> {args.out}"
+        f"{result.log[-1]['mean_L_mse']:.4f}; checkpoint -> {args.out}"
     )
     return 0
-
-
-def _require_all_normal(records, what: str):
-    for r in records:
-        if r.label != LABEL_NORMAL:
-            raise InputError(
-                f"{what} must contain only normal records; '{r.sample_id}' is "
-                f"labeled '{r.label}'"
-            )
 
 
 def _require_signals(records, ckpt: Checkpoint):
@@ -206,24 +200,25 @@ def cmd_calibrate(args) -> int:
     cfg = load_config_file(args.config)
     detect_sec = build_config(DetectSection, cfg, "detect")
     ckpt = load_checkpoint(args.checkpoint)
-    records = load_records(args.data)
-    _require_all_normal(records, "calibration data")
     windowing = _checkpoint_windowing(cfg, ckpt)
+    records = load_records(args.data)
+    if bad := [r for r in records if r.label != LABEL_NORMAL]:
+        raise InputError(f"calibration data must contain only normal records; "
+                         f"'{bad[0].sample_id}' is labeled '{bad[0].label}'")
     _require_signals(records, ckpt)
     if ckpt.calibration is not None:
         print("warning: checkpoint is already calibrated; overwriting", file=sys.stderr)
-    runtime = ScoringRuntime.from_checkpoint(ckpt)
     stats = calibrate(
-        runtime,
+        ScoringRuntime.from_checkpoint(ckpt),
         (w for _, ws in record_windows(records, windowing) for w in ws),
-        eps_mode=detect_sec.eps_mode,
+        eps_mode=detect_sec.eps_mode or "zero",  # the mode every later scoring draws by
         eps_seed=detect_sec.eps_seed,
     )
     meta = dict(ckpt.meta)
     meta["calibration_config"] = {
         "command": "calibrate",
         "data": str(args.data),
-        "eps_mode": detect_sec.eps_mode,
+        "eps_mode": stats.eps_mode,
         "eps_seed": detect_sec.eps_seed,
         "stride": windowing.stride,
     }
@@ -236,28 +231,40 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-def _loaded_calibration(ckpt: Checkpoint) -> CalibrationStats:
-    if ckpt.calibration is None:
-        raise InputError(
-            "checkpoint has no calibration stats; run `flowad calibrate` first"
-        )
-    return CalibrationStats.from_dict(ckpt.calibration)
+def _scoring_setup(args, flags=None, fallback=None):
+    """What `eval`, `detect` and `bench` score with, each part checked before
+    any data or frame is read: the config's detect section, the checkpoint,
+    its calibration (`fallback` if it has none, which is an error without
+    one), whose eps mode a config eps_mode may only repeat, the windowing
+    and the runtime."""
+    cfg = load_config_file(getattr(args, "config", None))
+    detect_sec = build_config(DetectSection, cfg, "detect", flags=flags)
+    ckpt = load_checkpoint(args.checkpoint)
+    calib = fallback if ckpt.calibration is None else CalibrationStats.from_dict(ckpt.calibration)
+    if calib is None:
+        raise InputError("checkpoint has no calibration stats; run `flowad calibrate` first")
+    if detect_sec.eps_mode not in (None, calib.eps_mode):
+        raise InputError(f"config eps_mode '{detect_sec.eps_mode}' does not match the "
+                         f"checkpoint's calibration, made in eps_mode '{calib.eps_mode}'")
+    windowing = _checkpoint_windowing(cfg, ckpt)
+    return detect_sec, ckpt, calib, windowing, ScoringRuntime.from_checkpoint(ckpt)
 
 
 def cmd_eval(args) -> int:
     from .evaluation import score_records, summarize
 
-    cfg = load_config_file(args.config)
-    eps_seed = build_config(DetectSection, cfg, "detect").eps_seed
-    ckpt = load_checkpoint(args.checkpoint)
-    calib = _loaded_calibration(ckpt)
+    detect_sec, ckpt, calib, windowing, runtime = _scoring_setup(args)
     records = load_records(args.data)
-    windowing = _checkpoint_windowing(cfg, ckpt)
     _require_signals(records, ckpt)
-    runtime = ScoringRuntime.from_checkpoint(ckpt)
     # One scoring pass serves both the report and the ROC points.
-    scored, skipped = score_records(records, runtime, calib, windowing, eps_seed)
-    report = summarize(scored, skipped)
+    scored, skipped = score_records(records, runtime, calib, windowing, detect_sec.eps_seed)
+    try:
+        report = summarize(scored, skipped)
+    except InputError as e:  # too few records: say how many were too short to score
+        if skipped:
+            raise InputError(f"{e}; {skipped} records shorter than the "
+                             f"{windowing.window_len}-frame window were skipped") from None
+        raise
     report["resolved_config"] = {
         "command": "eval",
         "checkpoint": str(args.checkpoint),
@@ -270,10 +277,8 @@ def cmd_eval(args) -> int:
         scores = np.array([r.record_score for r in scored])
         labels = np.array([r.label != LABEL_NORMAL for r in scored])
         points = sys.modules[__name__].roc_curve(scores, labels)
-        with open(args.roc_out, "w") as fh:
-            fh.write("fpr,tpr\n")
-            for fpr, tpr in points:
-                fh.write(f"{float(fpr)!r},{float(tpr)!r}\n")
+        Path(args.roc_out).write_text(
+            "fpr,tpr\n" + "".join(f"{float(fpr)!r},{float(tpr)!r}\n" for fpr, tpr in points))
     _write_json(args.out, report)
     print(
         f"overall AUROC {report['overall_mean']:.4f} +/- {report['overall_std']:.4f} "
@@ -285,17 +290,9 @@ def cmd_eval(args) -> int:
 def cmd_detect(args) -> int:
     from .stream import run
 
-    cfg = load_config_file(args.config)
-    detect_sec = build_config(DetectSection, cfg, "detect", flags={
+    detect_sec, _, calib, windowing, runtime = _scoring_setup(args, flags={
         "threshold": args.threshold, "target_fpr": args.target_fpr})
-    ckpt = load_checkpoint(args.checkpoint)
-    calib = _loaded_calibration(ckpt)
-    theta = detect_sec.theta(calib)
-    if detect_sec.eps_mode != calib.eps_mode:
-        raise InputError(f"config eps_mode '{detect_sec.eps_mode}' does not match the "
-                         f"checkpoint's calibration, made in eps_mode '{calib.eps_mode}'")
-    windowing = _checkpoint_windowing(cfg, ckpt)
-    detector = StreamDetector(ScoringRuntime.from_checkpoint(ckpt), calib, theta=theta,
+    detector = StreamDetector(runtime, calib, theta=detect_sec.theta(calib),
                               windowing=windowing, eps_seed=detect_sec.eps_seed,
                               stride_period_s=args.stride_period_s)
     run(detector, args.input, args.metrics_out)
@@ -303,32 +300,23 @@ def cmd_detect(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.windows < 1:
-        raise InputError(f"--windows must be >= 1, got {args.windows}")
-    if args.warmup < 0:
-        raise InputError(f"--warmup must be >= 0, got {args.warmup}")
-    if args.seed < 0:
-        raise InputError(f"--seed must be >= 0, got {args.seed}")
+    for flag, low in (("windows", 1), ("warmup", 0), ("seed", 0)):
+        if getattr(args, flag) < low:
+            raise InputError(f"--{flag} must be >= {low}, got {getattr(args, flag)}")
     from .evaluation import bench_latency
 
-    ckpt = load_checkpoint(args.checkpoint)
-    if ckpt.calibration is not None:
-        calib = CalibrationStats.from_dict(ckpt.calibration)
-        calibrated = True
-    else:
-        calib = CalibrationStats(mu=0.0, sigma=1.0)
-        calibrated = False
+    _, ckpt, calib, _, runtime = _scoring_setup(
+        args, fallback=CalibrationStats(mu=0.0, sigma=1.0))
     cfg = ckpt.config
     rng = np.random.default_rng(args.seed)
     raw = ckpt.norm_stats.mean + ckpt.norm_stats.std * rng.standard_normal(
         (args.windows, cfg.window_len, cfg.n_signals)
     )
-    runtime = ScoringRuntime.from_checkpoint(ckpt)
     report = bench_latency(
         runtime, calib, list(raw), repetitions=args.repetitions, warmup=args.warmup
     )
     doc = report.to_dict()
-    doc["calibrated"] = calibrated
+    doc["calibrated"] = ckpt.calibration is not None
     doc["resolved_config"] = {
         "command": "bench",
         "checkpoint": str(args.checkpoint),
@@ -423,12 +411,9 @@ def main(argv=None) -> int:
     try:
         _check_outputs(args)
         return args.func(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except FlowadError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(e, InputError) else 1
     except BrokenPipeError:
         # downstream consumer closed the pipe; hand stdout a sink so the
         # interpreter's final flush does not raise again

@@ -15,7 +15,8 @@ tail.
 
 `calibrate` is the one place an eps mode is chosen: the statistics record
 it, and every later scoring draws epsilon by the mode of the calibration
-it is given. `detect` refuses a config whose eps_mode names another.
+it is given. `eval` and `detect` refuse a config whose eps_mode names
+another.
 """
 
 from __future__ import annotations
@@ -101,20 +102,21 @@ class Verdict:
 @dataclass(frozen=True)
 class DetectSection:
     """The config file's detect section. `detect` takes its threshold from
-    `threshold` or `target_fpr` (flags override them). `calibrate` draws
-    epsilon by `eps_mode` and records it in the calibration, by whose mode
-    `eval` and `detect` draw it; `detect` refuses an `eps_mode` that names
-    another. Every scoring command seeds it with `eps_seed`."""
+    `threshold` or `target_fpr` (flags override them). Only `calibrate`
+    chooses an eps mode: it draws epsilon by `eps_mode` ("zero" if unset)
+    and records it in the calibration, by whose mode `eval` and `detect`
+    draw it; they refuse an `eps_mode` that names another. Every scoring
+    command seeds it with `eps_seed`."""
 
     threshold: float | None = None
     target_fpr: float | None = None
-    eps_mode: str = "zero"
+    eps_mode: str | None = None
     eps_seed: int = 0
 
     def __post_init__(self):
         if self.eps_seed < 0:
             raise InputError("eps_seed must be >= 0")
-        if self.eps_mode not in EPS_MODES:
+        if self.eps_mode not in (None, *EPS_MODES):
             raise InputError(f"unknown eps_mode '{self.eps_mode}'")
 
     def theta(self, calib: CalibrationStats) -> float:

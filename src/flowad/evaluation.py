@@ -24,7 +24,7 @@ from .data import (
     record_windows,
     sliding_windows,  # noqa: F401 - perfbench/launcher.py traces it here
 )
-from .detection import CalibrationStats, calibrate, score_from_l1, score_windows
+from .detection import CalibrationStats, _eps_stream, calibrate, score_from_l1, score_windows
 from .errors import InputError
 from .fastpath import BACKEND, BLAS_THREAD_VARS, ScoringRuntime
 from .model import ModelConfig
@@ -203,9 +203,10 @@ def bench_latency(
     repetitions: int = 1,
     warmup: int = 20,
 ) -> LatencyReport:
-    """Time one full inference (normalize -> forward -> score) per raw
-    (T_W, N) window array, single-threaded; at least 100 timed
-    inferences required."""
+    """Time one full inference (eps draw -> normalize -> forward -> score)
+    per raw (T_W, N) window array, single-threaded; at least 100 timed
+    inferences required. Epsilon is drawn by the calibration's eps_mode,
+    seeded with 0, as `detect` draws it by default."""
     windows = list(windows)
     if not windows:
         raise InputError("bench_latency needs at least one window")
@@ -215,15 +216,21 @@ def bench_latency(
             f"need >= 100 timed inferences, got {len(windows)} windows x "
             f"{repetitions} repetitions = {n_timed}"
         )
+    draw = _eps_stream(runtime, calib.eps_mode, 0)
+
+    def infer(w):
+        eps = draw(1)
+        return score_from_l1(runtime.l1_error(w, None if eps is None else eps[0]), calib)
+
     runtime.warm_up()
     for w in windows[:warmup]:
-        score_from_l1(runtime.l1_error(w), calib)
+        infer(w)
     timings = np.empty(n_timed)
     k = 0
     for _ in range(repetitions):
         for w in windows:
             t0 = time.perf_counter_ns()
-            score_from_l1(runtime.l1_error(w), calib)
+            infer(w)
             timings[k] = (time.perf_counter_ns() - t0) / 1000.0
             k += 1
     mean_us, q1, q3 = iqr_mean(timings)

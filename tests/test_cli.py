@@ -25,7 +25,7 @@ from flowad.config import build_config
 from flowad.data import WindowingConfig, load_records, manifest_path, save_records
 from flowad.detection import CalibrationStats, StreamDetector, Verdict
 from flowad.errors import InputError
-from flowad.evaluation import per_type_auroc, roc_curve, score_records
+from flowad.evaluation import evaluate, per_type_auroc, roc_curve, score_records
 from flowad.fastpath import ScoringRuntime
 from flowad.model import ModelConfig
 from flowad.stream import _write_verdicts, frame_blocks
@@ -56,6 +56,9 @@ def env(tmp_path_factory):
     test_csv = root / "test.csv"
     ckpt = root / "model.ckpt"
     ckpt_uncal = root / "model-uncal.ckpt"
+    ckpt_sample = root / "model-sample.ckpt"
+    sample_cfg = root / "sample.json"
+    sample_cfg.write_text(json.dumps({**CONFIG, "detect": {"eps_mode": "sample"}}))
     assert main(["gen-data", "--config", str(cfg), "--num-normal", "10",
                  "--out", str(train_csv)]) == 0
     assert main(["gen-data", "--config", str(cfg), "--seed", "21", "--num-normal", "6",
@@ -66,6 +69,8 @@ def env(tmp_path_factory):
                  "--out", str(ckpt_uncal)]) == 0
     assert main(["calibrate", "--config", str(cfg), "--checkpoint", str(ckpt),
                  "--data", str(train_csv)]) == 0
+    assert main(["calibrate", "--config", str(sample_cfg), "--checkpoint", str(ckpt_uncal),
+                 "--data", str(train_csv), "--out", str(ckpt_sample)]) == 0
     return {
         "root": root,
         "cfg": str(cfg),
@@ -73,6 +78,7 @@ def env(tmp_path_factory):
         "test_csv": test_csv,
         "ckpt": str(ckpt),
         "ckpt_uncal": str(ckpt_uncal),
+        "ckpt_sample": str(ckpt_sample),
     }
 
 
@@ -1314,31 +1320,127 @@ def test_a_flag_replaces_the_config_value_before_it_is_checked():
         build_config(TrainConfig, cfg, "train", flags={"seed": None})
 
 
+@pytest.mark.parametrize("command", ["eval", "detect"])
 @pytest.mark.parametrize("config_mode, calibrated_mode", [("sample", "zero"), ("zero", "sample")])
 def test_a_config_eps_mode_other_than_the_calibrations_exits_2_before_any_frame(
-        env, tmp_path, capsys, monkeypatch, config_mode, calibrated_mode):
+        env, tmp_path, capsys, monkeypatch, command, config_mode, calibrated_mode):
+    import flowad.cli
     import flowad.stream
 
     def never(*args, **kwargs):
-        raise AssertionError("detect read its input")
+        raise AssertionError(f"{command} read its input")
 
-    argv = _command_args(env, tmp_path, "detect")
+    argv = _command_args(env, tmp_path, command)
     if calibrated_mode == "sample":
-        sample_cfg = tmp_path / "calibrate.json"
-        sample_cfg.write_text(json.dumps({**CONFIG, "detect": {"eps_mode": "sample"}}))
-        ckpt = str(tmp_path / "sample.ckpt")
-        assert main(["calibrate", "--config", str(sample_cfg), "--checkpoint", env["ckpt"],
-                     "--data", str(env["train_csv"]), "--out", ckpt]) == 0
-        argv[argv.index("--checkpoint") + 1] = ckpt
+        argv[argv.index("--checkpoint") + 1] = env["ckpt_sample"]
     cfg = tmp_path / "detect.json"
     cfg.write_text(json.dumps({**CONFIG, "detect": {"eps_mode": config_mode}}))
     argv[argv.index("--config") + 1] = str(cfg)
     monkeypatch.setattr(flowad.stream, "run", never)
+    monkeypatch.setattr(flowad.cli, "load_records", never)
     capsys.readouterr()
     assert main(argv) == 2
     assert capsys.readouterr().err == (
         f"error: config eps_mode '{config_mode}' does not match the checkpoint's "
         f"calibration, made in eps_mode '{calibrated_mode}'\n")
+
+
+@pytest.mark.parametrize("command", ["eval", "detect"])
+@pytest.mark.parametrize("eps_mode", ["zero", "sample"])
+def test_without_a_config_eval_and_detect_score_in_the_calibrations_mode(
+        env, tmp_path, capsys, command, eps_mode):
+    ckpt = env["ckpt"] if eps_mode == "zero" else env["ckpt_sample"]
+    argv = _command_args(env, tmp_path, command)
+    del argv[1:3]  # --config
+    argv[argv.index("--checkpoint") + 1] = ckpt
+    capsys.readouterr()
+    assert main(argv) == 0
+    loaded = load_checkpoint(ckpt)
+    calib = CalibrationStats.from_dict(loaded.calibration)
+    assert calib.eps_mode == eps_mode
+    runtime, windowing = ScoringRuntime.from_checkpoint(loaded), WindowingConfig(40, 20)
+    if command == "eval":
+        report = json.loads((tmp_path / "e.json").read_text())
+        expected = evaluate(load_records(env["test_csv"]), runtime, calib, windowing)
+        assert (report["per_type"], report["resolved_config"]["eps_mode"]) == (
+            expected["per_type"], eps_mode)
+    else:
+        det = StreamDetector(runtime, calib, theta=3.0, windowing=windowing)
+        frames = load_records(env["test_csv"])[0].frames
+        assert _verdicts(capsys.readouterr().out) == [
+            {"window_start": v.window_start, "score": v.score, "is_anomaly": v.is_anomaly}
+            for v in det.push(frames)]
+
+
+@pytest.mark.parametrize("command", ["calibrate", "eval", "detect"])
+def test_a_windowing_window_len_other_than_the_checkpoints_exits_2_before_any_work(
+        env, tmp_path, capsys, monkeypatch, command):
+    import flowad.cli
+    import flowad.stream
+
+    def never(*args, **kwargs):
+        raise AssertionError(f"{command} read its input")
+
+    argv = _command_args(env, tmp_path, command)
+    cfg = tmp_path / "short-windows.json"
+    cfg.write_text(json.dumps({**CONFIG, "windowing": {"window_len": 30, "stride": 20}}))
+    argv[argv.index("--config") + 1] = str(cfg)
+    monkeypatch.setattr(flowad.stream, "run", never)
+    monkeypatch.setattr(flowad.cli, "load_records", never)
+    before = set(tmp_path.rglob("*"))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: config windowing.window_len=30 conflicts with the checkpoint value 40\n")
+    assert set(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("case", ["train --out", "eval --out", "eval --roc-out",
+                                  "gen-data manifest directory", "gen-data --config"])
+def test_a_datasets_manifest_is_an_input_of_data_and_an_output_of_gen_data(
+        env, tmp_path, capsys, monkeypatch, case):
+    import flowad.cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the command did its work")
+
+    command, flag = case.split()[:2]
+    argv = _command_args(env, tmp_path, command)
+    if command == "gen-data":
+        manifest = tmp_path / "g.manifest.json"
+        if flag == "manifest":
+            manifest.mkdir()
+            why = "Is a directory"
+        else:
+            manifest.write_text(json.dumps(CONFIG))
+            argv[argv.index("--config") + 1] = str(manifest)
+            why = "it is the --config file, which the command reads"
+        opt = "the --out manifest"
+        monkeypatch.setattr(flowad.cli, "save_records", never)
+    else:
+        data = tmp_path / "d.csv"
+        save_records(load_records(argv[argv.index("--data") + 1]), data)
+        argv[argv.index("--data") + 1] = str(data)
+        manifest, opt = manifest_path(data), flag
+        argv[argv.index(flag) + 1] = str(manifest)
+        why = "it is the --data file's manifest, which the command reads"
+        monkeypatch.setattr(flowad.cli, "load_records", never)
+    before = {p: None if p.is_dir() else p.read_bytes() for p in tmp_path.rglob("*")}
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: cannot write {opt} {manifest}: {why}\n"
+    assert {p: None if p.is_dir() else p.read_bytes() for p in tmp_path.rglob("*")} == before
+
+
+def test_eval_says_how_many_records_were_too_short_when_too_few_are_left(
+        env, tmp_path, capsys):
+    records = [dataclasses.replace(r, frames=r.frames[:30]) for r in load_records(env["test_csv"])]
+    data = tmp_path / "short.csv"
+    save_records(records, data)
+    argv = _command_args(env, tmp_path, "eval")
+    argv[argv.index("--data") + 1] = str(data)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.endswith(
+        "error: per-type AUROC needs normal records; 12 records shorter than the 40-frame "
+        "window were skipped\n")
 
 
 @pytest.mark.parametrize("command", ["calibrate", "eval", "detect"])

@@ -355,6 +355,28 @@ class TestBenchLatency:
         with pytest.raises(InputError, match="at least one"):
             bench_latency(trained_small["runtime"], trained_small["calib"], [])
 
+    @pytest.mark.parametrize("eps_mode", ["zero", "sample"])
+    def test_eps_is_drawn_by_the_calibrations_mode(self, trained_small, monkeypatch, eps_mode):
+        runtime = trained_small["runtime"]
+        calib = dataclasses.replace(trained_small["calib"], eps_mode=eps_mode)
+        seen, l1_error = [], runtime.l1_error
+
+        def recording(window, eps=None):
+            seen.append(eps)
+            return l1_error(window, eps)
+
+        monkeypatch.setattr(runtime, "l1_error", recording)
+        windows = [np.zeros((100, 6))] * 50
+        bench_latency(runtime, calib, windows, repetitions=2, warmup=5)
+        assert seen.pop(0) is None  # runtime.warm_up's window, before any draw
+        assert len(seen) == 105
+        if eps_mode == "zero":
+            assert seen == [None] * 105
+        else:  # seeded with 0, one draw per inference, warm-up included
+            d = runtime.config.latent_size
+            np.testing.assert_array_equal(
+                np.stack(seen), np.random.default_rng(0).standard_normal((105, d)))
+
 
 class TestAblationVariants:
     def test_three_variants_with_expected_shapes(self):
