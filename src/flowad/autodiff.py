@@ -1,24 +1,26 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-Implements exactly the primitive set the window models need: matrix
-products, broadcasting elementwise arithmetic, exp/log/sigmoid/
-relu/abs, clipping, reshape, full-array sums, and one fused LSTM
-over a whole sequence with hand-written backprop through time.
+Implements exactly the primitive set the window models need: affine
+layers, broadcasting elementwise arithmetic, exp/log/sigmoid/relu/abs,
+clipping, reshape, full-array sums and sums of squares, and one fused
+LSTM over a whole sequence with hand-written backprop through time.
 Training runs in float64 throughout; every Tensor coerces to float64.
 
-Each elementwise or matrix primitive is one call to `_binary` or
-`_unary` naming its numpy function and its VJPs. Given plain ndarrays
-the helpers return that function's result unchanged; given a Tensor
-they record one node on the graph. Model code written against the free
-functions therefore runs unchanged in differentiable and plain modes,
-and any plain-ndarray operand acts as a constant (no gradient flows
-into it), which is how detached values are expressed. matmul records
-only (B, m) @ (m, n), the one product the model makes.
+Each elementwise primitive is one call to `_binary` or `_unary` naming
+its numpy function and its VJPs. Given plain ndarrays the helpers return
+that function's result unchanged; given a Tensor they record one node on
+the graph. Model code written against the free functions therefore runs
+unchanged in differentiable and plain modes, and any plain-ndarray
+operand acts as a constant (no gradient flows into it), which is how
+detached values are expressed. affine records only (B, m) @ (m, n) plus
+a bias, the one product the model makes, as one node.
 
 A tape is walked once: as backward reaches each interior node it runs
 the node's VJPs and then drops its gradient, closure and parent links,
 so the arrays the node saved are freed while the walk goes on instead of
-when `value_and_grad` returns.
+when `value_and_grad` returns. A parent's gradient takes a fresh VJP
+result as it is; one that is the incoming gradient or a view of it is
+copied on first write, since that buffer belongs to the child.
 """
 
 from __future__ import annotations
@@ -81,12 +83,18 @@ def _make(data, op, parents, backward) -> Tensor:
     return out
 
 
-def _acc(t: Tensor, g: np.ndarray):
-    # Copy on first write: g may alias the child's grad buffer.
-    if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)
+def _acc(t: Tensor, grad, g: np.ndarray):
+    """Add grad, a VJP of the gradient g that t's child received, into
+    t.grad. A first grad is kept as it is when it is a fresh float64
+    array; one that is g or a view of it is copied, so no two Tensors
+    share a gradient buffer."""
+    if t.grad is not None:
+        t.grad += grad
+    elif (type(grad) is np.ndarray and grad.dtype == np.float64
+          and not np.may_share_memory(grad, g)):
+        t.grad = grad
     else:
-        t.grad += g
+        t.grad = np.array(grad, dtype=np.float64)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -118,9 +126,9 @@ def _binary(name, fn, da, db, a, b):
 
     def backward(g):
         if ta:
-            _acc(a, _unbroadcast(da(g, ad, bd), ad.shape))
+            _acc(a, _unbroadcast(da(g, ad, bd), ad.shape), g)
         if tb:
-            _acc(b, _unbroadcast(db(g, ad, bd), bd.shape))
+            _acc(b, _unbroadcast(db(g, ad, bd), bd.shape), g)
 
     return _make(fn(ad, bd), name, (a, b), backward)
 
@@ -134,7 +142,7 @@ def _unary(name, fn, dx, x):
     out = fn(xd)
 
     def backward(g):
-        _acc(x, dx(g, xd, out))
+        _acc(x, dx(g, xd, out), g)
 
     return _make(out, name, (x,), backward)
 
@@ -151,12 +159,28 @@ def mul(a, b):
     return _binary("mul", np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a, a, b)
 
 
-def matmul(a, b):
-    """Matrix product. The tape records only (B, m) @ (m, n), the one
-    shape the model makes; plain operands go to np.matmul as they are."""
-    if (isinstance(a, Tensor) or isinstance(b, Tensor)) and not _raw(a).ndim == _raw(b).ndim == 2:
-        raise ValueError(f"unsupported matmul shapes {_raw(a).shape} @ {_raw(b).shape}")
-    return _binary("matmul", np.matmul, lambda g, a, b: g @ b.T, lambda g, a, b: a.T @ g, a, b)
+def affine(x, w, b):
+    """x @ w + b as one node, the bias added in place into the product.
+    The tape records only (B, m) @ (m, n), the one product the model
+    makes; plain operands are not checked."""
+    tx, tw, tb = (isinstance(v, Tensor) for v in (x, w, b))
+    xd, wd, bd = _raw(x), _raw(w), _raw(b)
+    if (tx or tw or tb) and not xd.ndim == wd.ndim == 2:
+        raise ValueError(f"unsupported affine shapes {xd.shape} @ {wd.shape}")
+    out = xd @ wd
+    out += bd
+    if not (tx or tw or tb):
+        return out
+
+    def backward(g):
+        if tx:
+            _acc(x, g @ wd.T, g)
+        if tw:
+            _acc(w, xd.T @ g, g)
+        if tb:
+            _acc(b, _unbroadcast(g, bd.shape), g)
+
+    return _make(out, "affine", (x, w, b), backward)
 
 
 def neg(x):
@@ -202,6 +226,11 @@ def clip(x, lo: float, hi: float):
 
 def sum_all(x):
     return _unary("sum", np.sum, lambda g, x, out: np.full(x.shape, float(g)), x)
+
+
+def sum_squares(d):
+    """sum(d * d); the node keeps only d."""
+    return _unary("sum_squares", lambda v: np.sum(v * v), lambda g, x, out: g * x + g * x, d)
 
 
 def reshape(x, shape):
@@ -273,9 +302,8 @@ def lstm(x, w, b, hidden: int):
     xd, wd, bd = _raw(x), _raw(w), _raw(b)
     B, T, n = xd.shape
     H = hidden
-    xs = xd.transpose(1, 0, 2).reshape(T * B, n)
     w_half = halve_gates(wd)
-    acts = xs @ w_half[:n]
+    acts = xd.transpose(1, 0, 2).reshape(T * B, n) @ w_half[:n]
     acts += halve_gates(bd)
     acts = acts.reshape(T, B, 4 * H)
     # hs, cs run from the zero state; tcs is tanh(cs[1:]).
@@ -332,14 +360,16 @@ def lstm(x, w, b, hidden: int):
             d[:, 3] *= dc
             np.matmul(dA[t], w_hT, out=dh)
             dc *= f_t[t]
+        del dc_dh  # before xs, so the two are never held at once
         dA2 = dA.reshape(T * B, 4 * H)
         if tw:
             gw = np.empty_like(wd)
+            xs = xd.transpose(1, 0, 2).reshape(T * B, n)
             np.matmul(xs.T, dA2, out=gw[:n])
             np.matmul(hs[:-1].reshape(T * B, H).T, dA2, out=gw[n:])
-            _acc(w, gw)
+            _acc(w, gw, g)
         if tb:
-            _acc(b, dA2.sum(axis=0))
+            _acc(b, dA2.sum(axis=0), g)
 
     return _make(out, "lstm", (w, b), backward)
 

@@ -81,11 +81,15 @@ def _log_path(args) -> str:
 
 
 def _same_file(path: str, source: str | None) -> bool:
-    """Whether an input flag's value names the existing file `path`."""
-    try:
-        return source not in (None, "-") and os.path.samefile(path, source)
-    except OSError:  # either one is missing
+    """Whether an input flag's value names the file `path`: the same file,
+    or, while the input does not exist (a CSV's absent manifest), the
+    same resolved path."""
+    if source in (None, "-"):
         return False
+    try:
+        return os.path.samefile(path, source)
+    except OSError:  # either one is missing
+        return not os.path.exists(source) and os.path.realpath(path) == os.path.realpath(source)
 
 
 def _check_outputs(args):

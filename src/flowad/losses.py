@@ -36,7 +36,8 @@ class GeneratorLossParts:
 
 
 def loss_mse(window, reconstruction):
-    """Sum of squared differences over all entries (no averaging)."""
+    """Sum of squared differences over all entries (no averaging), one
+    `sum_squares` node over the difference, which is all it keeps."""
     w = np.asarray(window, dtype=np.float64)
     if w.shape != reconstruction.shape:
         raise InputError(
@@ -44,7 +45,7 @@ def loss_mse(window, reconstruction):
             f"{reconstruction.shape}"
         )
     d = ad.sub(reconstruction, w)
-    return ad.sum_all(ad.mul(d, d))
+    return ad.sum_squares(d)
 
 
 def loss_sparsity(params: Mapping, lam: float, include_flow: bool = False):

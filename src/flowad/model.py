@@ -127,8 +127,8 @@ def encode(window, params: Mapping, cfg: ModelConfig):
             f"windows must be (B, {cfg.window_len}, {cfg.n_signals}), got shape {x.shape}"
         )
     h = ad.lstm(x, params["lstm_w"], params["lstm_b"], cfg.hidden_size)
-    mu = ad.add(ad.matmul(h, params["mu_w"]), params["mu_b"])
-    logvar = ad.add(ad.matmul(h, params["logvar_w"]), params["logvar_b"])
+    mu = ad.affine(h, params["mu_w"], params["mu_b"])
+    logvar = ad.affine(h, params["logvar_w"], params["logvar_b"])
     return mu, logvar
 
 
@@ -143,8 +143,8 @@ def reparameterize(mu, logvar, eps=None):
 def made_forward(z, enc_w, enc_b, dec_w, dec_b, m_enc, m_dec):
     """Masked single-hidden-layer network on (B, D); output i sees only
     inputs < i."""
-    hidden = ad.relu(ad.add(ad.matmul(z, ad.mul(enc_w, m_enc)), enc_b))
-    return ad.add(ad.matmul(hidden, ad.mul(dec_w, m_dec)), dec_b)
+    hidden = ad.relu(ad.affine(z, ad.mul(enc_w, m_enc), enc_b))
+    return ad.affine(hidden, ad.mul(dec_w, m_dec), dec_b)
 
 
 def maf_forward(z0, params: Mapping, masks, cfg: ModelConfig):
@@ -191,8 +191,8 @@ def decode(z_k, params: Mapping, cfg: ModelConfig):
     """z_K (B, D) -> linear(hidden_size) -> relu -> linear(T_W*N) -> (B, T_W, N)."""
     if z_k.shape[1:] != (cfg.latent_size,):
         raise InputError(f"latents must be (B, {cfg.latent_size}), got shape {z_k.shape}")
-    h = ad.relu(ad.add(ad.matmul(z_k, params["dec1_w"]), params["dec1_b"]))
-    flat = ad.add(ad.matmul(h, params["dec2_w"]), params["dec2_b"])
+    h = ad.relu(ad.affine(z_k, params["dec1_w"], params["dec1_b"]))
+    flat = ad.affine(h, params["dec2_w"], params["dec2_b"])
     return ad.reshape(flat, (z_k.shape[0], cfg.window_len, cfg.n_signals))
 
 
@@ -210,5 +210,5 @@ def discriminate(z, params: Mapping, cfg: ModelConfig):
     (B, 1) probs."""
     h = z
     for i in range(len(cfg.disc_widths)):
-        h = ad.relu(ad.add(ad.matmul(h, params[f"disc{i}_w"]), params[f"disc{i}_b"]))
-    return ad.sigmoid(ad.add(ad.matmul(h, params["disc_out_w"]), params["disc_out_b"]))
+        h = ad.relu(ad.affine(h, params[f"disc{i}_w"], params[f"disc{i}_b"]))
+    return ad.sigmoid(ad.affine(h, params["disc_out_w"], params["disc_out_b"]))

@@ -1394,8 +1394,9 @@ def test_a_windowing_window_len_other_than_the_checkpoints_exits_2_before_any_wo
     assert set(tmp_path.rglob("*")) == before
 
 
-@pytest.mark.parametrize("case", ["train --out", "eval --out", "eval --roc-out",
-                                  "gen-data manifest directory", "gen-data --config"])
+@pytest.mark.parametrize("case", ["train --out", "train --out absent", "eval --out",
+                                  "eval --roc-out", "gen-data manifest directory",
+                                  "gen-data --config"])
 def test_a_datasets_manifest_is_an_input_of_data_and_an_output_of_gen_data(
         env, tmp_path, capsys, monkeypatch, case):
     import flowad.cli
@@ -1421,6 +1422,8 @@ def test_a_datasets_manifest_is_an_input_of_data_and_an_output_of_gen_data(
         save_records(load_records(argv[argv.index("--data") + 1]), data)
         argv[argv.index("--data") + 1] = str(data)
         manifest, opt = manifest_path(data), flag
+        if case.endswith("absent"):  # a CSV without a manifest: the path is still taken
+            manifest.unlink()
         argv[argv.index(flag) + 1] = str(manifest)
         why = "it is the --data file's manifest, which the command reads"
         monkeypatch.setattr(flowad.cli, "load_records", never)

@@ -29,7 +29,7 @@ def _tanh(x):
     out = np.tanh(x.data)
 
     def backward(g):
-        ad._acc(x, g * (1.0 - out * out))
+        ad._acc(x, g * (1.0 - out * out), g)
 
     return ad._make(out, "tanh", (x,), backward)
 
@@ -90,7 +90,7 @@ def test_linear_least_squares_fd():
     y = rng.standard_normal((3, 1))
 
     def f(p):
-        r = ad.sub(ad.matmul(p["W"], v), y)
+        r = ad.sub(ad.affine(p["W"], v, np.zeros(1)), y)
         return ad.sum_all(ad.mul(r, r))
 
     err = _finite_diff_check(f, {"W": rng.standard_normal((3, 4))}, step=1e-5)
@@ -103,7 +103,7 @@ def test_linear_model_fd_is_tight():
     v = rng.standard_normal((5, 1))
 
     def f(p):
-        return ad.sum_all(ad.matmul(p["W"], v))
+        return ad.sum_all(ad.affine(p["W"], v, np.zeros(1)))
 
     err = _finite_diff_check(f, {"W": rng.standard_normal((2, 5))}, step=1e-5)
     assert err < 1e-8
@@ -160,7 +160,7 @@ def test_kinked_primitives_fd_away_from_kinks():
     assert worst < 1e-4
 
 
-def test_matmul_shapes_and_broadcast_bias():
+def test_affine_shapes_and_broadcast_bias():
     rng = np.random.default_rng(3)
     params = {
         "W": rng.standard_normal((4, 5)),
@@ -169,11 +169,11 @@ def test_matmul_shapes_and_broadcast_bias():
     }
 
     def batched(p):
-        out = ad.add(ad.matmul(p["x"], p["W"]), p["b"])  # (2,5) + (5,)
+        out = ad.affine(p["x"], p["W"], p["b"])  # (2,5) + (5,)
         return ad.sum_all(ad.mul(out, out))
 
     def bias_first(p):
-        out = ad.sub(p["b"], ad.matmul(p["x"], p["W"]))  # (5,) - (2,5)
+        out = ad.sub(p["b"], ad.affine(p["x"], p["W"], np.zeros(5)))  # (5,) - (2,5)
         return ad.sum_all(ad.mul(out, out))
 
     assert _finite_diff_check(batched, params, step=1e-5) < 1e-4
@@ -181,13 +181,13 @@ def test_matmul_shapes_and_broadcast_bias():
 
 
 @pytest.mark.parametrize("shapes", [((4,), (4, 5)), ((3, 4), (4,))])
-def test_matmul_rejects_a_1d_tensor_operand(shapes):
+def test_affine_rejects_a_1d_tensor_operand(shapes):
     a, b = (np.ones(s) for s in shapes)
-    for operands in [(ad.Tensor(a), b), (a, ad.Tensor(b))]:
+    for operands in [(ad.Tensor(a), b, 0.0), (a, ad.Tensor(b), 0.0), (a, b, ad.Tensor(0.0))]:
         with pytest.raises(ValueError, match=rf"{re.escape(str(shapes[0]))} @ "
                                              rf"{re.escape(str(shapes[1]))}"):
-            ad.matmul(*operands)
-    assert np.array_equal(ad.matmul(a, b), np.matmul(a, b))  # plain operands are not checked
+            ad.affine(*operands)
+    assert np.array_equal(ad.affine(a, b, 0.0), np.matmul(a, b))  # plain operands are not checked
 
 
 _X = np.random.default_rng(7).standard_normal((3, 4))
@@ -196,7 +196,7 @@ _PRIMITIVES = {
     "add": (ad.add, (_X, _X[0])),
     "sub": (ad.sub, (_X, _X[0])),
     "mul": (ad.mul, (_X, _X[0])),
-    "matmul": (ad.matmul, (_X, _X.T)),
+    "affine": (ad.affine, (_X, _X.T, _X[0, :3])),
     "neg": (ad.neg, (_X,)),
     "exp": (ad.exp, (_X,)),
     "log": (ad.log, (np.abs(_X) + 0.5,)),
@@ -205,6 +205,7 @@ _PRIMITIVES = {
     "absolute": (ad.absolute, (_X,)),
     "clip": (lambda x: ad.clip(x, -0.5, 0.5), (_X,)),
     "sum_all": (ad.sum_all, (_X,)),
+    "sum_squares": (ad.sum_squares, (_X,)),
     "reshape": (lambda x: ad.reshape(x, (4, 3)), (_X,)),
 }
 
@@ -219,7 +220,7 @@ def test_plain_inputs_give_the_recorded_value_bit_for_bit(name):
     assert plain.dtype == recorded.data.dtype == np.float64
     assert plain.shape == recorded.data.shape
     assert plain.tobytes() == recorded.data.tobytes()
-    if name == "sum_all":
+    if name.startswith("sum"):
         assert not isinstance(plain, np.ndarray)  # a numpy scalar, not a 0-d array
 
 
@@ -233,6 +234,95 @@ def test_reshape_grads():
         return ad.sum_all(ad.mul(ad.mul(flat, flat), weights))
 
     assert _finite_diff_check(f, params, step=1e-5) < 1e-4
+
+
+def _add_matmul(x, w, b):
+    """x @ w + b as two tape nodes, a product and a broadcast add: the
+    path `affine` replaces, kept as the reference for its bits."""
+    product = ad._binary("matmul", np.matmul, lambda g, a, b: g @ b.T,
+                         lambda g, a, b: a.T @ g, x, w)
+    return ad.add(product, b)
+
+
+# (B, m) @ (m, n) for every layer of the default model at B=32: the mu and
+# logvar heads, the MADE's masked layers, the decoder (its (24, 1800) last
+# layer included) and the discriminator.
+_AFFINE_SHAPES = [(24, 24), (24, 48), (48, 24), (24, 1800), (48, 48), (48, 1)]
+
+
+@pytest.mark.parametrize("m,n", _AFFINE_SHAPES)
+def test_affine_matches_matmul_plus_add_bitwise(m, n):
+    rng = np.random.default_rng(40 + n)
+    params = {"x": rng.standard_normal((32, m)), "w": rng.standard_normal((m, n)),
+              "b": rng.standard_normal(n)}
+    r = rng.standard_normal((32, n))
+    mask = (rng.random((m, n)) < 0.5).astype(np.float64)
+
+    def loss(layer):
+        # x is a Tensor input, the weight a masked one, as in the MADE layers.
+        return lambda p: ad.sum_all(ad.mul(layer(p["x"], ad.mul(p["w"], mask), p["b"]), r))
+
+    val, grads = ad.value_and_grad(loss(ad.affine), params)
+    ref_val, ref_grads = ad.value_and_grad(loss(_add_matmul), params)
+    assert val == ref_val
+    for k in params:
+        assert grads[k].tobytes() == ref_grads[k].tobytes(), k
+
+
+def test_affine_with_a_weight_used_twice_matches_matmul_plus_add_bitwise():
+    # The discriminator loss runs the same layer on the prior and on z_K.
+    rng = np.random.default_rng(46)
+    params = {"w": rng.standard_normal((24, 48)), "b": rng.standard_normal(48)}
+    real, fake = rng.standard_normal((2, 32, 24))
+
+    def loss(layer):
+        return lambda p: ad.add(ad.sum_all(ad.relu(layer(real, p["w"], p["b"]))),
+                                ad.sum_all(ad.sigmoid(layer(fake, p["w"], p["b"]))))
+
+    val, grads = ad.value_and_grad(loss(ad.affine), params)
+    ref_val, ref_grads = ad.value_and_grad(loss(_add_matmul), params)
+    assert val == ref_val
+    for k in params:
+        assert grads[k].tobytes() == ref_grads[k].tobytes(), k
+
+
+def test_sum_squares_matches_sum_of_the_product_bitwise():
+    rng = np.random.default_rng(47)
+    params = {"a": rng.standard_normal((32, 150, 12))}
+    target = rng.standard_normal((32, 150, 12))
+
+    def loss(squares):
+        return lambda p: squares(ad.sub(p["a"], target))
+
+    val, grads = ad.value_and_grad(loss(ad.sum_squares), params)
+    ref_val, ref_grads = ad.value_and_grad(loss(lambda d: ad.sum_all(ad.mul(d, d))), params)
+    assert val == ref_val
+    assert grads["a"].tobytes() == ref_grads["a"].tobytes()
+
+
+def _add_passing_views(a, b):
+    """add whose backward hands each parent a view of its gradient rather
+    than the gradient itself."""
+    return ad._binary("add", np.add, lambda g, a, b: g[...], lambda g, a, b: g[...], a, b)
+
+
+@pytest.mark.parametrize("add", [ad.add, _add_passing_views], ids=["add", "views"])
+def test_gradients_passed_on_unchanged_are_copied_not_shared(add):
+    # a feeds two nodes; each add hands its incoming gradient (or views of
+    # it) to two Tensor parents, and the reshape hands c a view. A parent
+    # that kept such a buffer would share it, and the next += into one
+    # would change both.
+    rng = np.random.default_rng(48)
+    a, b, c = (ad.Tensor(rng.standard_normal(s)) for s in ((2, 3), (2, 3), (3, 2)))
+    r = rng.standard_normal((2, 3))
+    summed = add(add(a, b), ad.reshape(c, (2, 3)))
+    ad._run_backward(ad.sum_all(ad.mul(add(summed, ad.mul(a, 3.0)), r)))
+    assert np.allclose(a.grad, 4.0 * r)
+    assert np.array_equal(b.grad, r)
+    assert np.array_equal(c.grad, r.reshape(3, 2))
+    grads = [a.grad, b.grad, c.grad]
+    for i, j in [(0, 1), (0, 2), (1, 2)]:
+        assert not np.shares_memory(grads[i], grads[j]), (i, j)
 
 
 # -- fused LSTM ----------------------------------------------------------------
@@ -251,11 +341,9 @@ def _reference_lstm(x, p, H):
     h = np.zeros((x.shape[0], H))
     c = np.zeros((x.shape[0], H))
     for t in range(x.shape[1]):
-        pre = {
-            k: ad.add(ad.add(ad.matmul(x[:, t], p[f"wx_{k}"]), ad.matmul(h, p[f"wh_{k}"])),
-                      p[f"b_{k}"])
-            for k in "ifog"
-        }
+        # h @ wh + (x @ wx + b): the inner affine is the outer one's bias.
+        pre = {k: ad.affine(h, p[f"wh_{k}"], ad.affine(x[:, t], p[f"wx_{k}"], p[f"b_{k}"]))
+               for k in "ifog"}
         i, f, o = (ad.sigmoid(pre[k]) for k in "ifo")
         c = ad.add(ad.mul(f, c), ad.mul(i, _tanh(pre["g"])))
         h = ad.mul(o, _tanh(c))
@@ -344,8 +432,8 @@ def _out_of_place_lstm(x, w, b, hidden):
         gw = np.empty_like(wd)
         np.matmul(xs.T, dA2, out=gw[:n])
         np.matmul(hs[:-1].reshape(T * B, H).T, dA2, out=gw[n:])
-        ad._acc(w, gw)
-        ad._acc(b, dA2.sum(axis=0))
+        ad._acc(w, gw, g)
+        ad._acc(b, dA2.sum(axis=0), g)
 
     return ad._make(hs[T], "lstm", (w, b), backward)
 
@@ -372,10 +460,10 @@ def test_lstm_gradients_match_the_out_of_place_backward_bitwise(B):
     assert peaks["fused"] < 2 * T * B * H * 8 + 256 * 1024
 
 
-def test_value_and_grad_releases_the_tape_as_backward_runs():
-    # One generator step at the default size and B=32 peaks within twice
-    # what the LSTM op saves for backward (acts, hs, cs, tanh(cs), xs),
-    # since every other node is freed once backward has passed it.
+def _generator_step_peak():
+    """The traced peak of one generator value_and_grad at the default size
+    and B=32, and `saved`: the bytes of the LSTM op's saved arrays (acts,
+    hs, cs, tanh(cs)) plus one (T*B, n) copy of its input."""
     cfg = ModelConfig(n_signals=12, window_len=150)
     B, T, n, H = 32, 150, 12, cfg.hidden_size
     rng = np.random.default_rng(33)
@@ -390,7 +478,22 @@ def test_value_and_grad_releases_the_tape_as_backward_runs():
 
     ad.value_and_grad(loss, gen)
     saved = 8 * (T * B * 4 * H + 2 * (T + 1) * B * H + T * B * H + T * B * n)
-    assert traced_peak(ad.value_and_grad, loss, gen) <= 2 * saved
+    return traced_peak(ad.value_and_grad, loss, gen), saved
+
+
+def test_value_and_grad_releases_the_tape_as_backward_runs():
+    # One generator step peaks within twice what the LSTM op saves for
+    # backward, since every other node is freed once backward has passed it.
+    peak, saved = _generator_step_peak()
+    assert peak <= 2 * saved
+
+
+def test_the_tape_keeps_little_beyond_the_lstm_ops_arrays():
+    # One node per affine layer, a squared-error node that keeps only the
+    # difference, gradients kept without a copy, and an LSTM op that keeps
+    # no copy of its input: the step peaks within 1.3x the LSTM's arrays.
+    peak, saved = _generator_step_peak()
+    assert peak <= 1.3 * saved
 
 
 def test_lstm_step_keeps_float32():
@@ -478,8 +581,8 @@ def test_gradients_all_finite_on_deep_chain():
     params = {"W1": rng.standard_normal((6, 6)) * 0.3, "W2": rng.standard_normal((6, 1)) * 0.3}
 
     def f(p):
-        h = _tanh(ad.matmul(rng_x, p["W1"]))
-        out = ad.sigmoid(ad.matmul(h, p["W2"]))
+        h = _tanh(ad.affine(rng_x, p["W1"], np.zeros(6)))
+        out = ad.sigmoid(ad.affine(h, p["W2"], np.zeros(1)))
         return ad.sum_all(out)
 
     rng_x = rng.standard_normal((4, 6))
